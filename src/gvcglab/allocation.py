@@ -1,25 +1,29 @@
 """Allocation search: exhaustive enumeration and exact winner determination.
 
 The search space is the set of object-assignment vectors: each object goes to
-one agent or stays unsold, so there are ``(n+1)**m`` candidates.  Winner
-determination maximizes the total willingness to pay at a reference transfer
-level, breaking ties by the lexicographically smallest assignment vector
-(objects in index order; an agent index beats "unsold", which sorts as n).
+one agent or stays unsold, so there are ``(n+1)**m`` candidates, scanned in
+lexicographic order (objects in index order; an agent index beats "unsold",
+which sorts as n).  One scan serves winner determination and the dominance
+audit: it sums per-agent :func:`wp_tables` rows, each at that agent's own
+transfer level, and yields every assignment whose total beats a floor and all
+earlier totals.  Winner determination (every level ``t_L``) takes the last
+record, the lexicographically first argmax; the dominance audit (levels
+``t*_i``) takes the first record above its floor.
 
-The exhaustive scan is the reference method; an optional branch-and-bound
-path prunes with the free-disposal upper bound and returns bit-identical
-results.  Welfare sums run on integers over a common denominator, which keeps
-the hot loop fast without giving up exactness.
+An optional branch-and-bound path prunes with the free-disposal upper bound
+and returns bit-identical results.  Sums run on integers over a common
+denominator, which keeps the hot loop fast without giving up exactness.
 """
 
 from __future__ import annotations
 
 import os
+from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 from math import lcm
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .prefs import (
     Dichotomous,
@@ -54,13 +58,11 @@ def search_space_size(num_agents: int, num_objects: int) -> int:
     return (num_agents + 1) ** num_objects
 
 
-def ensure_search_space(num_agents: int, num_objects: int, limit: int | None = None) -> None:
-    bound = guard_limit() if limit is None else limit
+def ensure_search_space(num_agents: int, num_objects: int) -> None:
+    bound = guard_limit()
     size = search_space_size(num_agents, num_objects)
     if size > bound:
-        raise SearchSpaceError(
-            f"(n+1)^m = {size} allocations exceeds the guard {bound}"
-        )
+        raise SearchSpaceError(f"(n+1)^m = {size} allocations exceeds the guard {bound}")
 
 
 @dataclass(frozen=True)
@@ -125,11 +127,9 @@ def validate_allocation(bundles: Iterable[int], num_objects: int) -> tuple[int, 
     return out
 
 
-def enumerate_assignments(
-    num_agents: int, num_objects: int, *, limit: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_assignments(num_agents: int, num_objects: int) -> Iterator[tuple[int, ...]]:
     """All object-assignment vectors in lexicographic order (unsold = n)."""
-    ensure_search_space(num_agents, num_objects, limit)
+    ensure_search_space(num_agents, num_objects)
     return product(range(num_agents + 1), repeat=num_objects)
 
 
@@ -141,13 +141,11 @@ def assignment_bundles(num_agents: int, assignment: tuple[int, ...]) -> tuple[in
     return tuple(masks)
 
 
-def enumerate_allocations(
-    num_agents: int, num_objects: int, *, limit: int | None = None
-) -> Iterator[tuple[int, ...]]:
+def enumerate_allocations(num_agents: int, num_objects: int) -> Iterator[tuple[int, ...]]:
     """All allocations (tuples of disjoint bundles), one per assignment vector."""
     return (
         assignment_bundles(num_agents, assignment)
-        for assignment in enumerate_assignments(num_agents, num_objects, limit=limit)
+        for assignment in enumerate_assignments(num_agents, num_objects)
     )
 
 
@@ -167,44 +165,41 @@ def normalized_mask_tables(
     return int_tables, denom
 
 
-def _wp_fraction_tables(
-    economy: Economy, t_l: Fraction, zero_agents: frozenset[int]
-) -> list[list[Fraction]]:
+def wp_tables(economy: Economy, levels: Sequence[Fraction | None]) -> list[list[Fraction]]:
+    """Agent i's WP for every bundle mask at ``levels[i]``; None gives a zero row."""
     size = 1 << economy.num_objects
     zero = Fraction(0)
     tables: list[list[Fraction]] = []
-    for i, pref in enumerate(economy.preferences):
-        if i in zero_agents:
+    for pref, level in zip(economy.preferences, levels):
+        if level is None:
             tables.append([zero] * size)
         elif isinstance(pref, Dichotomous):
-            w = pref.wp_map.value(t_l)
+            w = pref.wp_map.value(level)
             tables.append([w if pref.accepts(mask) else zero for mask in range(size)])
         else:
             row = [zero] * size
             for mask in range(1, size):
-                row[mask] = pref.map_for(mask).value(t_l)
+                row[mask] = pref.map_for(mask).value(level)
             tables.append(row)
     return tables
 
 
-def _wd_enumerate(
-    num_agents: int, num_objects: int, tables: list[list[int]]
-) -> tuple[tuple[int, ...], int]:
-    best_assign: tuple[int, ...] | None = None
-    best = -1
+def _scan(
+    num_agents: int, num_objects: int, tables: list[list[int]], floor: int
+) -> Iterator[tuple[tuple[int, ...], int]]:
+    """Yield ``(assignment, total)`` each time the total beats ``floor`` and
+    every earlier total, in lexicographic assignment order."""
     for assignment in product(range(num_agents + 1), repeat=num_objects):
         masks = [0] * num_agents
         for obj, owner in enumerate(assignment):
             if owner < num_agents:
                 masks[owner] |= 1 << obj
-        welfare = 0
+        total = 0
         for i in range(num_agents):
-            welfare += tables[i][masks[i]]
-        if welfare > best:
-            best = welfare
-            best_assign = assignment
-    assert best_assign is not None
-    return best_assign, best
+            total += tables[i][masks[i]]
+        if total > floor:
+            floor = total
+            yield assignment, total
 
 
 def _wd_branch_and_bound(
@@ -298,7 +293,6 @@ def winner_determination(
     *,
     zero_agents: frozenset[int] = frozenset(),
     branch_and_bound: bool = False,
-    limit: int | None = None,
 ) -> tuple[tuple[int, ...], Fraction]:
     """Maximize total WP at ``t_l`` over all allocations.
 
@@ -308,11 +302,15 @@ def winner_determination(
     allocation slot.
     """
     n, m = economy.num_agents, economy.num_objects
-    ensure_search_space(n, m, limit)
+    ensure_search_space(n, m)
     t = rat(t_l)
-    tables, denom = normalized_mask_tables(_wp_fraction_tables(economy, t, zero_agents))
-    solver = _wd_branch_and_bound if branch_and_bound else _wd_enumerate
-    assignment, best = solver(n, m, tables)
+    levels = [None if i in zero_agents else t for i in range(n)]
+    tables, denom = normalized_mask_tables(wp_tables(economy, levels))
+    if branch_and_bound:
+        assignment, best = _wd_branch_and_bound(n, m, tables)
+    else:
+        # WP is never negative, so a floor of -1 records the first assignment
+        assignment, best = deque(_scan(n, m, tables, -1), maxlen=1).pop()
     bundles = assignment_bundles(n, assignment)
     bundles = _minimal_equivalent_bundles(economy, t, bundles, zero_agents)
     return bundles, Fraction(best, denom)

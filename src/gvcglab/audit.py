@@ -1,14 +1,16 @@
 """Exact axiom auditors: Pareto dominance, strategyproofness, IR, no subsidy.
 
 The dominance search exploits divisible money.  For an alternative
-allocation, the most an agent can pay while staying weakly satisfied is her
-old outcome's empty-equivalent transfer plus the WP of her new bundle at that
-transfer.  A profile is strictly Pareto dominated (agentwise weak preference
-plus weakly larger total payment, one strict) iff some alternative allocation
-has a strictly larger total of these retained payments: any strict agentwise
-improvement can be converted into payment slack.  That reduces a search over
-real payment vectors to a finite allocation scan with exact per-agent
-suprema.
+allocation, the most agent i can pay while staying weakly satisfied is the
+empty-equivalent transfer ``t*_i`` of its old outcome plus the WP of its new
+bundle at that transfer.  A profile is strictly Pareto dominated (agentwise weak
+preference plus weakly larger total payment, one strict) iff some
+alternative allocation has a strictly larger retained total
+``sum_i t*_i + sum_i WP_i(S_i, t*_i)``: any strict agentwise improvement can
+be converted into payment slack.  That reduces a search over real payment
+vectors to winner determination's own allocation scan, run with agent i's
+WP row at ``t*_i`` and stopped at the first total above the floor
+``payment total - sum_i t*_i``.
 
 The auditors take the mechanism under test as a callable, so hand-built
 alternatives can be screened with the same machinery as the built-in one.
@@ -18,19 +20,20 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from typing import Callable, Sequence
 
 from .allocation import (
     Economy,
+    _scan,
+    assignment_bundles,
     ensure_search_space,
     normalized_mask_tables,
     validate_allocation,
+    wp_tables,
 )
 from .mechanism import MechanismResult
 from .prefs import (
     Comparison,
-    Dichotomous,
     Outcome,
     Preference,
     Rational,
@@ -38,7 +41,6 @@ from .prefs import (
     empty_equivalent_transfer,
     rat,
     wp,
-    wp_map,
 )
 
 Mechanism = Callable[[Economy, Fraction], MechanismResult]
@@ -107,10 +109,7 @@ def max_retained_payment(pref: Preference, old: Outcome, new_bundle: int) -> Fra
 
 
 def find_pareto_improvement(
-    economy: Economy,
-    profile: OutcomeProfile,
-    *,
-    limit: int | None = None,
+    economy: Economy, profile: OutcomeProfile
 ) -> DominanceWitness | None:
     """Search all alternative allocations for a Pareto-dominating profile.
 
@@ -122,36 +121,21 @@ def find_pareto_improvement(
     n, m = economy.num_agents, economy.num_objects
     if len(profile.outcomes) != n:
         raise ValueError(f"profile has {len(profile.outcomes)} outcomes for {n} agents")
-    ensure_search_space(n, m, limit)
+    ensure_search_space(n, m)
 
-    size = 1 << m
-    retained: list[list[Fraction]] = []
-    for pref, (old_bundle, old_pay) in zip(economy.preferences, profile.outcomes):
-        t_star = empty_equivalent_transfer(pref, old_bundle, old_pay)
-        if isinstance(pref, Dichotomous):
-            keep = t_star + pref.wp_map.value(t_star)
-            retained.append([keep if pref.accepts(mask) else t_star for mask in range(size)])
-        else:
-            retained.append(
-                [t_star + wp_map(pref, mask).value(t_star) for mask in range(size)]
-            )
-
-    base_total = profile.payment_total()
-    tables, denom = normalized_mask_tables(retained, extra=(base_total,))
-    base_int = base_total.numerator * (denom // base_total.denominator)
-
-    for assignment in product(range(n + 1), repeat=m):
-        masks = [0] * n
-        for obj, owner in enumerate(assignment):
-            if owner < n:
-                masks[owner] |= 1 << obj
-        total = 0
-        for i in range(n):
-            total += tables[i][masks[i]]
-        if total > base_int:
-            outcomes = tuple((masks[i], retained[i][masks[i]]) for i in range(n))
-            gain = Fraction(total - base_int, denom)
-            return DominanceWitness(OutcomeProfile(outcomes), gain, ())
+    t_stars = [
+        empty_equivalent_transfer(pref, bundle, pay)
+        for pref, (bundle, pay) in zip(economy.preferences, profile.outcomes)
+    ]
+    rows = wp_tables(economy, t_stars)
+    floor = profile.payment_total() - sum(t_stars, Fraction(0))
+    tables, denom = normalized_mask_tables(rows, extra=(floor,))
+    floor_int = floor.numerator * (denom // floor.denominator)
+    for assignment, total in _scan(n, m, tables, floor_int):
+        masks = assignment_bundles(n, assignment)
+        outcomes = tuple((masks[i], t_stars[i] + rows[i][masks[i]]) for i in range(n))
+        gain = Fraction(total - floor_int, denom)
+        return DominanceWitness(OutcomeProfile(outcomes), gain, ())
     return None
 
 

@@ -14,7 +14,7 @@ import json
 import sys
 
 from .allocation import SearchSpaceError
-from .generate import INCOME_EFFECT_MODES
+from .generate import INCOME_EFFECT_MODES, OBJECT_NAMES
 from .mechanism import run_gvcg
 from .prefs import StructuralError, rat
 from .scenarios import (
@@ -30,6 +30,18 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+
+
+def _int_in(low: int, high: int | None = None):
+    """argparse type: an integer in ``[low, high]`` (no upper end when None)."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < low or (high is not None and value > high):
+            raise argparse.ArgumentTypeError(f"{value} is outside [{low}, {high or 'inf'}]")
+        return value
+
+    return integer
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -56,13 +68,15 @@ def _build_parser() -> argparse.ArgumentParser:
     repro = sub.add_parser("reproduce", help="re-run a named built-in construction")
     repro.add_argument("name", choices=REPRODUCE_NAMES)
     repro.add_argument("--seed", type=int, default=0)
-    repro.add_argument("--samples", type=int, default=None)
+    repro.add_argument("--samples", type=_int_in(0), default=None)
 
     fuzz = sub.add_parser("fuzz", help="random economies through the mechanism and audits")
-    fuzz.add_argument("--n", type=int, required=True, help="max number of agents")
-    fuzz.add_argument("--m", type=int, required=True, help="max number of objects")
+    fuzz.add_argument("--n", type=_int_in(1), required=True, help="max number of agents")
+    fuzz.add_argument(
+        "--m", type=_int_in(1, len(OBJECT_NAMES)), required=True, help="max number of objects"
+    )
     fuzz.add_argument("--income-effect", choices=INCOME_EFFECT_MODES, default="mixed")
-    fuzz.add_argument("--samples", type=int, default=1000)
+    fuzz.add_argument("--samples", type=_int_in(0), default=1000)
     fuzz.add_argument("--seed", type=int, default=0)
     fuzz.add_argument("--t-l", dest="t_l", default="0")
     return parser

@@ -30,11 +30,7 @@ class MechanismResult:
 
 
 def run_gvcg(
-    economy: Economy,
-    t_l: Rational,
-    *,
-    branch_and_bound: bool = False,
-    limit: int | None = None,
+    economy: Economy, t_l: Rational, *, branch_and_bound: bool = False
 ) -> MechanismResult:
     """Run the generalized VCG mechanism at reference transfer level ``t_l``.
 
@@ -43,17 +39,11 @@ def run_gvcg(
     others realize at the chosen allocation.
     """
     t = rat(t_l)
-    bundles, welfare = winner_determination(
-        economy, t, branch_and_bound=branch_and_bound, limit=limit
-    )
+    bundles, welfare = winner_determination(economy, t, branch_and_bound=branch_and_bound)
     payments = []
     for i, pref in enumerate(economy.preferences):
         _, rivals_best = winner_determination(
-            economy,
-            t,
-            zero_agents=frozenset((i,)),
-            branch_and_bound=branch_and_bound,
-            limit=limit,
+            economy, t, zero_agents=frozenset((i,)), branch_and_bound=branch_and_bound
         )
         rivals_realized = welfare - wp(pref, bundles[i], t)
         payments.append(t + rivals_best - rivals_realized)
@@ -101,14 +91,10 @@ class GuaranteeReport:
 
 
 def run_gvcg_with_audit(
-    economy: Economy,
-    t_l: Rational,
-    *,
-    branch_and_bound: bool = False,
-    limit: int | None = None,
+    economy: Economy, t_l: Rational, *, branch_and_bound: bool = False
 ) -> tuple[MechanismResult, GuaranteeReport]:
     """Run the mechanism and assert its outcome guarantees per agent."""
-    result = run_gvcg(economy, t_l, branch_and_bound=branch_and_bound, limit=limit)
+    result = run_gvcg(economy, t_l, branch_and_bound=branch_and_bound)
     t = result.t_l
     entries = []
     for i, pref in enumerate(economy.preferences):

@@ -219,15 +219,23 @@ def scenario_to_json(scenario: Scenario) -> dict[str, Any]:
 def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
     economy = serialize.economy_from_json(obj["economy"])
     names = economy.object_names
-    audits = tuple(obj.get("audits") or ())
+    raw_audits = obj.get("audits") or []
+    if not isinstance(raw_audits, list):
+        raise StructuralError("audits must be a list of audit selectors")
+    audits = tuple(raw_audits)
     for audit in audits:
         if audit not in AUDIT_NAMES:
             raise StructuralError(f"unknown audit selector {audit!r}")
     raw_devs = obj.get("deviations")
     deviations = None
     if raw_devs is not None:
+        if not isinstance(raw_devs, list):
+            raise StructuralError("deviations must be a list of per-agent lists")
         if len(raw_devs) != economy.num_agents:
             raise StructuralError("need one deviation list per agent")
+        for i, agent_devs in enumerate(raw_devs):
+            if not isinstance(agent_devs, list):
+                raise StructuralError(f"deviations[{i}] must be a list of preferences")
         deviations = tuple(
             tuple(serialize.preference_from_json(p, names) for p in agent_devs)
             for agent_devs in raw_devs

@@ -12,6 +12,7 @@ from gvcglab import (
     MechanismResult,
     OutcomeProfile,
     PwlMap,
+    Tabular,
     audit_dsic,
     audit_ir_no_subsidy,
     dominates,
@@ -21,8 +22,10 @@ from gvcglab import (
     max_retained_payment,
     negative_income_trio,
     positive_income_trio,
+    pwl_pointwise_max,
     random_dichotomous,
     random_economy,
+    random_pwl_map,
     run_gvcg,
     unit_demand_misreport,
     unit_demand_trio,
@@ -168,6 +171,56 @@ def test_dominance_oracle_symmetry_on_random_samples():
                 slack = F(rng.randint(0, 8), 4) if rng.random() < 0.5 else F(rng.randint(-8, 8), 4)
                 outcomes.append((bundle, retained - slack))
             assert not dominates(eco, OutcomeProfile(tuple(outcomes)), base)
+
+
+def _random_tabular_economy(rng, n, m):
+    # unit demand: a bundle's WP map is the pointwise max of its objects' maps
+    prefs = []
+    for _ in range(n):
+        singles = [random_pwl_map(rng, "mixed") for _ in range(m)]
+        table = {}
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            own = singles[low.bit_length() - 1]
+            table[mask] = own if mask == low else pwl_pointwise_max(table[mask ^ low], own)
+        prefs.append(Tabular.from_table(m, table))
+    return Economy(tuple("abc"[:m]), tuple(prefs))
+
+
+@pytest.mark.parametrize("kind", ["mixed", "pos", "tabular"])
+def test_dominance_matches_first_improving_allocation_oracle(kind):
+    # random payment profiles, not only mechanism outcomes: the witness must
+    # be the lexicographically first allocation whose retained total beats
+    # the payment total, with exactly that surplus as its gain
+    rng = random.Random(f"dominance-oracle-{kind}")
+    found = 0
+    for _ in range(60):
+        n, m = rng.randint(1, 3), rng.randint(1, 3)
+        if kind == "tabular":
+            eco = _random_tabular_economy(rng, n, m)
+        else:
+            eco = random_economy(rng, n, m, kind)
+        held = rng.choice(list(enumerate_allocations(n, m)))
+        base = OutcomeProfile(
+            tuple((bundle, F(rng.randint(-12, 12), rng.randint(1, 5))) for bundle in held)
+        )
+        expected = None
+        for alloc in enumerate_allocations(n, m):
+            outcomes = tuple(
+                (bundle, max_retained_payment(pref, old, bundle))
+                for pref, old, bundle in zip(eco.preferences, base.outcomes, alloc)
+            )
+            gain = sum((pay for _, pay in outcomes), F(0)) - base.payment_total()
+            if gain > 0:
+                expected = (outcomes, gain)
+                break
+        witness = find_pareto_improvement(eco, base)
+        if expected is None:
+            assert witness is None
+        else:
+            found += 1
+            assert (witness.dominating.outcomes, witness.payment_gain) == expected
+    assert 0 < found < 60
 
 
 def test_outcome_profile_requires_disjoint_bundles():

@@ -129,6 +129,36 @@ def test_dsic_audit_without_deviations_is_an_input_error(tmp_path, capsys):
     capsys.readouterr()
 
 
+def _audit_exit_code(tmp_path, capsys, **fields):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    scenario.update(fields)
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(scenario))
+    code = main(["audit", str(path)])
+    return code, capsys.readouterr().err
+
+
+def test_audits_given_as_a_string_is_an_input_error(tmp_path, capsys):
+    code, err = _audit_exit_code(tmp_path, capsys, audits="dsic")
+    assert code == 2
+    assert "audits must be a list" in err
+
+
+def test_deviations_given_as_an_object_is_an_input_error(tmp_path, capsys):
+    code, err = _audit_exit_code(tmp_path, capsys, audits=["dsic"], deviations={"0": []})
+    assert code == 2
+    assert "deviations must be a list" in err
+
+
+def test_deviation_entry_given_as_an_object_is_an_input_error(tmp_path, capsys):
+    misreport = json.loads((SCENARIO_DIR / "ex1.json").read_text())["economy"]["preferences"][0]
+    code, err = _audit_exit_code(
+        tmp_path, capsys, audits=["dsic"], deviations=[[], misreport, []]
+    )
+    assert code == 2
+    assert "deviations[1] must be a list" in err
+
+
 def test_unknown_expectation_key_is_rejected():
     scenario = builtin_scenario("ex1")
     broken = scenario_from_json(
@@ -254,6 +284,31 @@ def test_cli_fuzz_reports_counts(capsys):
     payload = json.loads(capsys.readouterr().out)
     assert payload["samples"] == 25
     assert payload["dominated"] == 0
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--n", "0"), ("--n", "-2"), ("--m", "0"), ("--m", "11"), ("--m", "12"), ("--samples", "-1")],
+)
+def test_cli_fuzz_out_of_range_sizes_exit_two(flag, value, capsys):
+    args = {"--n": "2", "--m": "2", "--samples": "5"}
+    args[flag] = value
+    with pytest.raises(SystemExit) as err:
+        main(["fuzz", *(part for pair in args.items() for part in pair)])
+    assert err.value.code == 2
+    assert f"argument {flag}" in capsys.readouterr().err
+
+
+def test_cli_reproduce_negative_samples_exit_two(capsys):
+    with pytest.raises(SystemExit) as err:
+        main(["reproduce", "thm2-sample", "--samples", "-1"])
+    assert err.value.code == 2
+    capsys.readouterr()
+
+
+def test_cli_fuzz_accepts_the_size_limits(capsys):
+    assert main(["fuzz", "--n", "1", "--m", "10", "--samples", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["samples"] == 0
 
 
 def test_cli_solve_branch_and_bound_agrees(capsys):
