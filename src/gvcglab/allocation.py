@@ -1,24 +1,29 @@
-"""Allocation search: exhaustive enumeration and exact winner determination.
+"""Allocation search: exact winner determination and exhaustive enumeration.
 
-The search space is the set of object-assignment vectors: each object goes to
-one agent or stays unsold, so there are ``(n+1)**m`` candidates, scanned in
-lexicographic order (objects in index order; an agent index beats "unsold",
-which sorts as n).  One scan serves winner determination and the dominance
-audit: it sums per-agent :func:`wp_tables` rows, each at that agent's own
-transfer level, and yields every assignment whose total beats a floor and all
-earlier totals.  Winner determination (every level ``t_L``) takes the last
-record, the lexicographically first argmax; the dominance audit (levels
-``t*_i``) takes the first record above its floor.
+An allocation is an object-assignment vector: each object goes to one agent
+or stays unsold.  Assignments are ordered lexicographically (objects in index
+order; an agent index beats "unsold", which sorts as n), and winner
+determination returns the lexicographically first argmax of total WP at
+``t_l``.  It finds the optimum with a subset dynamic program over the
+per-agent :func:`wp_tables` rows (Rothkopf, Pekec & Harstad 1998): agent by
+agent, the state is the set of objects still free, so a solve costs
+``O(n * 3**m)``.  It then rebuilds the lexicographically first optimal
+assignment object by object, keeping the first owner from which the optimum
+stays reachable.  :func:`pivot_welfares` runs the same DP for the Clarke
+pivots, welfare only.
 
-An optional branch-and-bound path prunes with the free-disposal upper bound
-and returns bit-identical results.  Sums run on integers over a common
-denominator, which keeps the hot loop fast without giving up exactness.
+The exhaustive scan over all ``(n+1)**m`` assignments, :func:`_scan`, serves
+the dominance audit (agent i's row at its own transfer level; the first
+assignment whose total beats a floor) and the tests, as the oracle the DP
+must match bit for bit.  An optional branch-and-bound path prunes with the
+free-disposal upper bound and also returns bit-identical results.  Sums run
+on integers over a common denominator, which keeps the hot loops fast without
+giving up exactness.
 """
 
 from __future__ import annotations
 
 import os
-from collections import deque
 from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
@@ -202,6 +207,71 @@ def _scan(
             yield assignment, total
 
 
+def _best_total(tables: list[list[int]], base: Sequence[int], free: int) -> int:
+    """Max of ``sum(tables[i][base[i] | extra[i]])`` over pairwise disjoint
+    ``extra[i]`` within the object set ``free``.
+
+    ``best[a]`` is the most the agents handled so far reach with the objects
+    in ``a``.  The first agent needs no search, because every row is monotone
+    under inclusion (free disposal), so it takes all of ``a``; each middle
+    agent costs ``3**|free|`` and the last, needed at ``free`` only,
+    ``2**|free|``.
+    """
+    if not tables:
+        return 0
+    subsets = [free]
+    a = free
+    while a:
+        a = (a - 1) & free
+        subsets.append(a)
+    row, b = tables[0], base[0]
+    best = [0] * (free + 1)
+    for a in subsets:
+        best[a] = row[b | a]
+    last = len(tables) - 1
+    for k in range(1, last + 1):
+        row, b = tables[k], base[k]
+        layer = [0] * (free + 1)
+        for a in subsets if k < last else (free,):
+            top = best[a] + row[b]
+            sub = a
+            while sub:
+                value = best[a ^ sub] + row[b | sub]
+                if value > top:
+                    top = value
+                sub = (sub - 1) & a
+            layer[a] = top
+        best = layer
+    return best[free]
+
+
+def _dp_assignment(
+    num_agents: int, num_objects: int, tables: list[list[int]]
+) -> tuple[tuple[int, ...], int]:
+    """The lexicographically first optimal assignment and its total.
+
+    Object by object, owners 0..n-1 are tried in order and "unsold" last; an
+    owner is kept as soon as the objects after it can still complete the
+    optimum.
+    """
+    full = (1 << num_objects) - 1
+    best = _best_total(tables, [0] * num_agents, full)
+    base = [0] * num_agents
+    assignment = []
+    for obj in range(num_objects):
+        bit = 1 << obj
+        free = full & ~((bit << 1) - 1)
+        for owner in range(num_agents):
+            base[owner] |= bit
+            if _best_total(tables, base, free) == best:
+                break
+            base[owner] ^= bit
+        else:
+            owner = num_agents
+        assignment.append(owner)
+    return tuple(assignment), best
+
+
 def _wd_branch_and_bound(
     num_agents: int, num_objects: int, tables: list[list[int]]
 ) -> tuple[tuple[int, ...], int]:
@@ -309,8 +379,24 @@ def winner_determination(
     if branch_and_bound:
         assignment, best = _wd_branch_and_bound(n, m, tables)
     else:
-        # WP is never negative, so a floor of -1 records the first assignment
-        assignment, best = deque(_scan(n, m, tables, -1), maxlen=1).pop()
+        assignment, best = _dp_assignment(n, m, tables)
     bundles = assignment_bundles(n, assignment)
     bundles = _minimal_equivalent_bundles(economy, t, bundles, zero_agents)
     return bundles, Fraction(best, denom)
+
+
+def pivot_welfares(economy: Economy, t_l: Rational) -> list[Fraction]:
+    """Each agent's Clarke pivot: the best total WP at ``t_l`` the other
+    agents reach without it (its row zeroed), as welfare only.
+
+    One table build serves every agent.  A zeroed row adds nothing to the
+    monotone DP, so the solve for agent i simply leaves row i out.
+    """
+    n, m = economy.num_agents, economy.num_objects
+    ensure_search_space(n, m)
+    tables, denom = normalized_mask_tables(wp_tables(economy, [rat(t_l)] * n))
+    full = (1 << m) - 1
+    return [
+        Fraction(_best_total(tables[:i] + tables[i + 1 :], [0] * (n - 1), full), denom)
+        for i in range(n)
+    ]

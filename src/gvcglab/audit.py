@@ -18,9 +18,9 @@ alternatives can be screened with the same machinery as the built-in one.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Sequence
 
 from .allocation import (
     Economy,
@@ -43,6 +43,7 @@ from .prefs import (
     wp,
 )
 
+# collections.abc, not typing: typing caches its aliases process-wide.
 Mechanism = Callable[[Economy, Fraction], MechanismResult]
 
 

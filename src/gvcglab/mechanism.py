@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocation import Economy, winner_determination
+from .allocation import Economy, pivot_welfares, winner_determination
 from .prefs import Comparison, Rational, compare_outcomes, rat, wp
 
 
@@ -36,17 +36,16 @@ def run_gvcg(
 
     Payment of agent i is ``t_l`` plus the best total WP the other agents
     could reach (agent i's WP zeroed, slot kept) minus the total WP the
-    others realize at the chosen allocation.
+    others realize at the chosen allocation.  ``branch_and_bound`` selects
+    the search for the allocation; the pivots are welfare-only DP solves.
     """
     t = rat(t_l)
     bundles, welfare = winner_determination(economy, t, branch_and_bound=branch_and_bound)
+    rivals_best = pivot_welfares(economy, t)
     payments = []
     for i, pref in enumerate(economy.preferences):
-        _, rivals_best = winner_determination(
-            economy, t, zero_agents=frozenset((i,)), branch_and_bound=branch_and_bound
-        )
         rivals_realized = welfare - wp(pref, bundles[i], t)
-        payments.append(t + rivals_best - rivals_realized)
+        payments.append(t + rivals_best[i] - rivals_realized)
     return MechanismResult(bundles, tuple(payments), welfare, t)
 
 

@@ -33,6 +33,11 @@ from typing import Iterable, Mapping, Union
 Rational = Union[Fraction, int, str]
 Outcome = tuple[int, Fraction]
 
+# CPython's default int <-> str digit limit; it bounds the length of a
+# rational literal and the magnitude of its decimal exponent, so one literal
+# cannot make Fraction build a number with millions of digits.
+MAX_LITERAL_DIGITS = 4300
+
 
 class StructuralError(ValueError):
     """A preference, map, or query violates a structural invariant."""
@@ -48,11 +53,27 @@ def rat(value: Rational) -> Fraction:
     if isinstance(value, int) and not isinstance(value, bool):
         return Fraction(value)
     if isinstance(value, str):
+        if _literal_too_large(value):
+            raise StructuralError(
+                f"rational literal {value[:32]!r} exceeds {MAX_LITERAL_DIGITS} digits"
+            )
         try:
             return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise StructuralError(f"cannot parse rational from {value!r}") from exc
     raise StructuralError(f"not an exact rational: {value!r}")
+
+
+def _literal_too_large(value: str) -> bool:
+    if len(value) > MAX_LITERAL_DIGITS:
+        return True
+    _, marker, exponent = value.upper().partition("E")
+    if not marker:
+        return False
+    try:
+        return abs(int(exponent)) > MAX_LITERAL_DIGITS
+    except ValueError:
+        return False  # malformed; Fraction reports it
 
 
 @dataclass(frozen=True)
@@ -306,7 +327,9 @@ class Tabular:
         return tuple(mask for mask, _ in self.wp_by_bundle)
 
 
-Preference = Union[Dichotomous, Tabular]
+# A `|` union, not typing.Union: typing caches its aliases process-wide, which
+# would keep these classes (and this module) alive across fresh imports.
+Preference = Dichotomous | Tabular
 
 
 def wp_map(pref: Preference, bundle: int) -> PwlMap:

@@ -1,8 +1,9 @@
 """Allocation enumeration and winner-determination tests."""
 
 import random
+from collections import deque
 from fractions import Fraction as F
-from itertools import product
+from itertools import permutations, product
 
 import pytest
 
@@ -12,16 +13,28 @@ from gvcglab import (
     PwlMap,
     SearchSpaceError,
     StructuralError,
+    Tabular,
     assignment_bundles,
     enumerate_allocations,
     enumerate_assignments,
     inefficiency_trio,
     negative_income_trio,
+    pwl_pointwise_max,
     random_economy,
+    random_pwl_map,
+    run_gvcg,
     unit_demand_trio,
     validate_allocation,
     winner_determination,
     wp,
+)
+from gvcglab.allocation import (
+    _dp_assignment,
+    _minimal_equivalent_bundles,
+    _scan,
+    normalized_mask_tables,
+    pivot_welfares,
+    wp_tables,
 )
 
 A, B, AB = 0b01, 0b10, 0b11
@@ -204,3 +217,151 @@ def test_branch_and_bound_agrees_bit_exactly():
         plain = winner_determination(eco, t, zero_agents=zero)
         pruned = winner_determination(eco, t, zero_agents=zero, branch_and_bound=True)
         assert plain == pruned
+
+
+# ---------------------------------------------------------------------------
+# subset DP against the exhaustive scan (the oracle)
+
+
+def _oracle(economy, t, zero_agents=frozenset()):
+    """Raw assignment and optimal total from the last record of the scan,
+    plus the tables and common denominator both solvers read."""
+    n, m = economy.num_agents, economy.num_objects
+    levels = [None if i in zero_agents else t for i in range(n)]
+    tables, denom = normalized_mask_tables(wp_tables(economy, levels))
+    assignment, best = deque(_scan(n, m, tables, -1), maxlen=1).pop()
+    return assignment, best, tables, denom
+
+
+def _check_against_oracle(economy, t, zero_agents=frozenset()):
+    n, m = economy.num_agents, economy.num_objects
+    assignment, best, tables, denom = _oracle(economy, t, zero_agents)
+    assert _dp_assignment(n, m, tables) == (assignment, best)
+    bundles = _minimal_equivalent_bundles(
+        economy, t, assignment_bundles(n, assignment), zero_agents
+    )
+    assert winner_determination(economy, t, zero_agents=zero_agents) == (
+        bundles,
+        F(best, denom),
+    )
+
+
+def _unit_demand_economy(rng, n, m):
+    prefs = []
+    for _ in range(n):
+        singles = [random_pwl_map(rng, "mixed") for _ in range(m)]
+        table = {}
+        for mask in range(1, 1 << m):
+            low = mask & -mask
+            own = singles[low.bit_length() - 1]
+            table[mask] = own if mask == low else pwl_pointwise_max(table[mask ^ low], own)
+        prefs.append(Tabular.from_table(m, table))
+    return Economy(tuple("abcd"[:m]), tuple(prefs))
+
+
+def test_dp_matches_scan_on_random_economies():
+    rng = random.Random(29)
+    for _ in range(150):
+        eco = random_economy(rng, rng.randint(1, 5), rng.randint(1, 4), "mixed")
+        t = F(rng.randint(-2, 2), rng.randint(1, 3))
+        zero = frozenset(i for i in range(eco.num_agents) if rng.random() < 0.2)
+        _check_against_oracle(eco, t, zero)
+
+
+def test_dp_matches_scan_when_all_wp_is_equal():
+    for n, m in ((1, 3), (2, 2), (3, 3), (4, 2), (5, 3)):
+        for bundles in ((1,), tuple(1 << j for j in range(m)), ((1 << m) - 1,)):
+            pref = Dichotomous(bundles, PwlMap.constant(1))
+            eco = Economy(tuple("abc"[:m]), (pref,) * n)
+            _check_against_oracle(eco, F(0))
+
+
+def test_dp_matches_scan_with_duplicated_agents():
+    rng = random.Random(31)
+    for _ in range(60):
+        base = random_economy(rng, rng.randint(1, 3), rng.randint(1, 4), "mixed")
+        prefs = list(base.preferences) * 2
+        rng.shuffle(prefs)
+        eco = Economy(base.object_names, tuple(prefs))
+        _check_against_oracle(eco, F(rng.randint(-1, 1)))
+
+
+def test_dp_matches_scan_when_every_agent_is_zeroed():
+    rng = random.Random(37)
+    for _ in range(20):
+        eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
+        everyone = frozenset(range(eco.num_agents))
+        _check_against_oracle(eco, F(0), everyone)
+        bundles, welfare = winner_determination(eco, 0, zero_agents=everyone)
+        assert welfare == 0
+        assert bundles == (0,) * eco.num_agents
+
+
+def test_dp_matches_scan_with_one_agent_or_one_object():
+    rng = random.Random(41)
+    for _ in range(40):
+        eco = random_economy(rng, 1, rng.randint(1, 4), "mixed")
+        _check_against_oracle(eco, F(rng.randint(-1, 1)))
+        eco = random_economy(rng, rng.randint(1, 6), 1, "mixed")
+        _check_against_oracle(eco, F(rng.randint(-1, 1)))
+
+
+def test_dp_matches_scan_on_tabular_unit_demand_agents():
+    rng = random.Random(43)
+    for _ in range(40):
+        eco = _unit_demand_economy(rng, rng.randint(1, 4), rng.randint(1, 3))
+        t = F(rng.randint(-4, 4), 2)
+        zero = frozenset(i for i in range(eco.num_agents) if rng.random() < 0.2)
+        _check_against_oracle(eco, t, zero)
+    _check_against_oracle(unit_demand_trio(), F(0))
+
+
+def test_run_gvcg_payments_match_oracle_pivots():
+    rng = random.Random(47)
+    for k in range(80):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        if k % 4 == 0:
+            eco = _unit_demand_economy(rng, n, m)
+        else:
+            eco = random_economy(rng, n, m, "mixed")
+        t = F(rng.randint(-2, 2), rng.randint(1, 2))
+        _, best, _, denom = _oracle(eco, t)
+        welfare = F(best, denom)
+        result = run_gvcg(eco, t)
+        assert result.welfare == welfare
+        expected = []
+        for i, pref in enumerate(eco.preferences):
+            _, rivals, _, rivals_denom = _oracle(eco, t, frozenset((i,)))
+            assert pivot_welfares(eco, t)[i] == F(rivals, rivals_denom)
+            realized = welfare - wp(pref, result.allocation[i], t)
+            expected.append(t + F(rivals, rivals_denom) - realized)
+        assert result.payments == tuple(expected)
+
+
+def _relabel_objects(pref, perm):
+    def move(mask):
+        return sum(1 << perm[j] for j in range(len(perm)) if mask >> j & 1)
+
+    if isinstance(pref, Dichotomous):
+        return Dichotomous(tuple(move(b) for b in pref.minimal_bundles), pref.wp_map)
+    return Tabular.from_table(len(perm), {move(b): w for b, w in pref.wp_by_bundle})
+
+
+def test_welfare_is_invariant_under_relabelling():
+    rng = random.Random(53)
+    for k in range(40):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        if k % 3 == 0:
+            eco = _unit_demand_economy(rng, n, m)
+        else:
+            eco = random_economy(rng, n, m, "mixed")
+        t = F(rng.randint(-2, 2))
+        _, welfare = winner_determination(eco, t)
+        for perm in permutations(range(m)):
+            moved = Economy(
+                eco.object_names, tuple(_relabel_objects(p, perm) for p in eco.preferences)
+            )
+            assert winner_determination(moved, t)[1] == welfare
+        for order in permutations(range(n)):
+            shuffled = Economy(eco.object_names, tuple(eco.preferences[i] for i in order))
+            assert winner_determination(shuffled, t)[1] == welfare

@@ -2,7 +2,11 @@
 and classification."""
 
 import random
+import subprocess
+import sys
+import textwrap
 from fractions import Fraction as F
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -58,6 +62,14 @@ def test_pwl_validation_errors():
         rat(0.5)  # floats are banned
     assert rat("1.9") == F(19, 10)  # decimal strings parse exactly
     assert rat("-1/40") == F(-1, 40)
+
+
+def test_rat_bounds_literal_size():
+    assert rat("1e4300") == 10**4300
+    assert rat("25E-2") == F(1, 4)
+    for literal in ("1e4301", "1E-4301", "2.5e+10000000", "1" * 4301):
+        with pytest.raises(StructuralError, match="exceeds 4300 digits"):
+            rat(literal)
 
 
 def test_pwl_merges_collinear_pieces():
@@ -351,3 +363,28 @@ def test_classify_matches_on_builtin_economy():
     flags = [classify(p, num_objects=2) for p in eco.preferences]
     assert [f.single_minded for f in flags] == [True, False, False]
     assert [f.positive_income_effect for f in flags] == [True, False, False]
+
+
+def test_fresh_imports_release_the_previous_package():
+    # Drop and re-import the package twice, as a harness that wants fresh
+    # module state does, then check the first copy of a class is collectable.
+    # A process-wide cache (typing's alias cache) that held the class would
+    # keep every earlier module namespace alive.  A subprocess keeps this
+    # test's imports away from the class identities of the other tests.
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    script = textwrap.dedent(
+        f"""
+        import gc, sys, weakref
+        sys.path.insert(0, {src!r})
+        import gvcglab, gvcglab.cli
+        first = weakref.ref(gvcglab.Dichotomous)
+        for _ in range(2):
+            for name in list(sys.modules):
+                if name.split(".")[0] == "gvcglab":
+                    del sys.modules[name]
+            import gvcglab, gvcglab.cli
+        gc.collect()
+        sys.exit(0 if first() is None else 1)
+        """
+    )
+    assert subprocess.run([sys.executable, "-c", script], timeout=60).returncode == 0

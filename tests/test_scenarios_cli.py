@@ -1,6 +1,7 @@
 """Scenario serialization, audit reports, and CLI behaviour."""
 
 import json
+import time
 from fractions import Fraction as F
 from pathlib import Path
 
@@ -253,6 +254,17 @@ def test_cli_parse_error_exits_two(tmp_path, capsys):
     path.write_text(json.dumps({"name": "x"}))  # missing fields
     assert main(["solve", str(path)]) == 2
     capsys.readouterr()
+
+
+def test_cli_huge_decimal_exponent_exits_two_quickly(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    scenario["t_L"] = "1e10000000"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(scenario))
+    start = time.perf_counter()
+    assert main(["solve", str(path)]) == 2
+    assert time.perf_counter() - start < 2  # building 10**10**7 takes seconds
+    assert "exceeds 4300 digits" in capsys.readouterr().err
 
 
 def test_cli_guard_exits_three(monkeypatch, capsys):
