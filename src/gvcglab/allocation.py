@@ -9,8 +9,8 @@ per-agent :func:`wp_tables` rows (Rothkopf, Pekec & Harstad 1998): agent by
 agent, the state is the set of objects still free, so a solve costs
 ``O(n * 3**m)``.  It then rebuilds the lexicographically first optimal
 assignment object by object, keeping the first owner from which the optimum
-stays reachable.  :func:`pivot_welfares` runs the same DP for the Clarke
-pivots, welfare only.
+stays reachable.  A Clarke pivot is the same DP with the pivot agent's row
+left out, welfare only (``welfare_only=True``): no rebuild and no shrink.
 
 The exhaustive scan over all ``(n+1)**m`` assignments, :func:`_scan`, serves
 the dominance audit (agent i's row at its own transfer level; the first
@@ -170,15 +170,13 @@ def normalized_mask_tables(
     return int_tables, denom
 
 
-def wp_tables(economy: Economy, levels: Sequence[Fraction | None]) -> list[list[Fraction]]:
-    """Agent i's WP for every bundle mask at ``levels[i]``; None gives a zero row."""
+def wp_tables(economy: Economy, levels: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Agent i's WP for every bundle mask at ``levels[i]``."""
     size = 1 << economy.num_objects
     zero = Fraction(0)
     tables: list[list[Fraction]] = []
     for pref, level in zip(economy.preferences, levels):
-        if level is None:
-            tables.append([zero] * size)
-        elif isinstance(pref, Dichotomous):
+        if isinstance(pref, Dichotomous):
             w = pref.wp_map.value(level)
             tables.append([w if pref.accepts(mask) else zero for mask in range(size)])
         else:
@@ -363,19 +361,35 @@ def winner_determination(
     *,
     zero_agents: frozenset[int] = frozenset(),
     branch_and_bound: bool = False,
-) -> tuple[tuple[int, ...], Fraction]:
+    welfare_only: bool = False,
+    rows: list[list[Fraction]] | None = None,
+) -> tuple[tuple[int, ...] | None, Fraction]:
     """Maximize total WP at ``t_l`` over all allocations.
 
     Returns the winning allocation (after shrinking each bundle to a minimal
     subset of equal WP) and the exact optimal welfare.  Agents listed in
     ``zero_agents`` contribute zero WP for every bundle but still occupy an
     allocation slot.
+
+    ``welfare_only`` returns ``None`` in place of the allocation and skips
+    the rebuild and the shrink: this is the solve behind a Clarke pivot.  A
+    zeroed row adds nothing to the monotone DP, so it is simply left out.
+    ``rows``, if given, must be ``wp_tables(economy, [t_l] * n)``; it lets
+    several solves at one ``t_l`` share a single table build.
     """
     n, m = economy.num_agents, economy.num_objects
     ensure_search_space(n, m)
     t = rat(t_l)
-    levels = [None if i in zero_agents else t for i in range(n)]
-    tables, denom = normalized_mask_tables(wp_tables(economy, levels))
+    if rows is None:
+        rows = wp_tables(economy, [t] * n)
+    if welfare_only:
+        kept = [row for i, row in enumerate(rows) if i not in zero_agents]
+        tables, denom = normalized_mask_tables(kept)
+        return None, Fraction(_best_total(tables, [0] * len(kept), (1 << m) - 1), denom)
+    zero = [Fraction(0)] * (1 << m)
+    tables, denom = normalized_mask_tables(
+        [zero if i in zero_agents else row for i, row in enumerate(rows)]
+    )
     if branch_and_bound:
         assignment, best = _wd_branch_and_bound(n, m, tables)
     else:
@@ -383,20 +397,3 @@ def winner_determination(
     bundles = assignment_bundles(n, assignment)
     bundles = _minimal_equivalent_bundles(economy, t, bundles, zero_agents)
     return bundles, Fraction(best, denom)
-
-
-def pivot_welfares(economy: Economy, t_l: Rational) -> list[Fraction]:
-    """Each agent's Clarke pivot: the best total WP at ``t_l`` the other
-    agents reach without it (its row zeroed), as welfare only.
-
-    One table build serves every agent.  A zeroed row adds nothing to the
-    monotone DP, so the solve for agent i simply leaves row i out.
-    """
-    n, m = economy.num_agents, economy.num_objects
-    ensure_search_space(n, m)
-    tables, denom = normalized_mask_tables(wp_tables(economy, [rat(t_l)] * n))
-    full = (1 << m) - 1
-    return [
-        Fraction(_best_total(tables[:i] + tables[i + 1 :], [0] * (n - 1), full), denom)
-        for i in range(n)
-    ]

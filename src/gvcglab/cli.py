@@ -59,7 +59,12 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the reference transfer level (use --t-l=-1 for negative values)",
     )
-    solve.add_argument("--branch-and-bound", action="store_true")
+    solve.add_argument(
+        "--branch-and-bound",
+        action="store_true",
+        help="find the allocation by branch-and-bound instead of the subset DP "
+        "(same result; the Clarke pivots always use the DP)",
+    )
 
     audit = sub.add_parser("audit", help="run a scenario's audits and diff expectations")
     audit.add_argument("path")

@@ -15,7 +15,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocation import Economy, pivot_welfares, winner_determination
+from .allocation import Economy, ensure_search_space, winner_determination, wp_tables
 from .prefs import Comparison, Rational, compare_outcomes, rat, wp
 
 
@@ -36,16 +36,23 @@ def run_gvcg(
 
     Payment of agent i is ``t_l`` plus the best total WP the other agents
     could reach (agent i's WP zeroed, slot kept) minus the total WP the
-    others realize at the chosen allocation.  ``branch_and_bound`` selects
-    the search for the allocation; the pivots are welfare-only DP solves.
+    others realize at the chosen allocation.  That best total, the Clarke
+    pivot, is a welfare-only solve; all n+1 solves share one table build.
+    ``branch_and_bound`` selects the search for the allocation only.
     """
     t = rat(t_l)
-    bundles, welfare = winner_determination(economy, t, branch_and_bound=branch_and_bound)
-    rivals_best = pivot_welfares(economy, t)
+    ensure_search_space(economy.num_agents, economy.num_objects)
+    rows = wp_tables(economy, [t] * economy.num_agents)
+    bundles, welfare = winner_determination(
+        economy, t, branch_and_bound=branch_and_bound, rows=rows
+    )
     payments = []
     for i, pref in enumerate(economy.preferences):
+        _, rivals_best = winner_determination(
+            economy, t, zero_agents=frozenset((i,)), welfare_only=True, rows=rows
+        )
         rivals_realized = welfare - wp(pref, bundles[i], t)
-        payments.append(t + rivals_best[i] - rivals_realized)
+        payments.append(t + rivals_best - rivals_realized)
     return MechanismResult(bundles, tuple(payments), welfare, t)
 
 

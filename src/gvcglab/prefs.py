@@ -33,9 +33,10 @@ from typing import Iterable, Mapping, Union
 Rational = Union[Fraction, int, str]
 Outcome = tuple[int, Fraction]
 
-# CPython's default int <-> str digit limit; it bounds the length of a
-# rational literal and the magnitude of its decimal exponent, so one literal
-# cannot make Fraction build a number with millions of digits.
+# CPython's default int <-> str digit limit.  No integer that parsing a
+# rational literal builds may have more digits, so one literal cannot make
+# Fraction build a number with millions of digits, and every parsed value
+# can be written back by str().
 MAX_LITERAL_DIGITS = 4300
 
 
@@ -65,15 +66,24 @@ def rat(value: Rational) -> Fraction:
 
 
 def _literal_too_large(value: str) -> bool:
-    if len(value) > MAX_LITERAL_DIGITS:
-        return True
-    _, marker, exponent = value.upper().partition("E")
-    if not marker:
-        return False
+    """Whether parsing ``value`` would build an integer of more than
+    MAX_LITERAL_DIGITS digits: either side of a 'p/q', or a decimal's
+    digits plus the magnitude of its exponent."""
+    numerator, slash, denominator = value.partition("/")
+    if slash:
+        return _digits(numerator) > MAX_LITERAL_DIGITS or _digits(denominator) > MAX_LITERAL_DIGITS
+    mantissa, marker, exponent = value.upper().partition("E")
+    digits = _digits(mantissa)
+    if digits > MAX_LITERAL_DIGITS or not marker:
+        return digits > MAX_LITERAL_DIGITS
     try:
-        return abs(int(exponent)) > MAX_LITERAL_DIGITS
+        return digits + abs(int(exponent)) > MAX_LITERAL_DIGITS
     except ValueError:
         return False  # malformed; Fraction reports it
+
+
+def _digits(text: str) -> int:
+    return sum(map(str.isdigit, text))
 
 
 @dataclass(frozen=True)

@@ -33,7 +33,6 @@ from gvcglab.allocation import (
     _minimal_equivalent_bundles,
     _scan,
     normalized_mask_tables,
-    pivot_welfares,
     wp_tables,
 )
 
@@ -227,8 +226,11 @@ def _oracle(economy, t, zero_agents=frozenset()):
     """Raw assignment and optimal total from the last record of the scan,
     plus the tables and common denominator both solvers read."""
     n, m = economy.num_agents, economy.num_objects
-    levels = [None if i in zero_agents else t for i in range(n)]
-    tables, denom = normalized_mask_tables(wp_tables(economy, levels))
+    zero = [F(0)] * (1 << m)
+    rows = wp_tables(economy, [t] * n)
+    tables, denom = normalized_mask_tables(
+        [zero if i in zero_agents else row for i, row in enumerate(rows)]
+    )
     assignment, best = deque(_scan(n, m, tables, -1), maxlen=1).pop()
     return assignment, best, tables, denom
 
@@ -242,6 +244,10 @@ def _check_against_oracle(economy, t, zero_agents=frozenset()):
     )
     assert winner_determination(economy, t, zero_agents=zero_agents) == (
         bundles,
+        F(best, denom),
+    )
+    assert winner_determination(economy, t, zero_agents=zero_agents, welfare_only=True) == (
+        None,
         F(best, denom),
     )
 
@@ -332,7 +338,8 @@ def test_run_gvcg_payments_match_oracle_pivots():
         expected = []
         for i, pref in enumerate(eco.preferences):
             _, rivals, _, rivals_denom = _oracle(eco, t, frozenset((i,)))
-            assert pivot_welfares(eco, t)[i] == F(rivals, rivals_denom)
+            pivot = winner_determination(eco, t, zero_agents=frozenset((i,)), welfare_only=True)
+            assert pivot == (None, F(rivals, rivals_denom))
             realized = welfare - wp(pref, result.allocation[i], t)
             expected.append(t + F(rivals, rivals_denom) - realized)
         assert result.payments == tuple(expected)

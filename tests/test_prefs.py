@@ -30,6 +30,7 @@ from gvcglab import (
     unit_demand_pref,
     wp,
 )
+from gvcglab.serialize import fraction_str
 
 A, B, AB = 0b01, 0b10, 0b11
 
@@ -65,11 +66,22 @@ def test_pwl_validation_errors():
 
 
 def test_rat_bounds_literal_size():
-    assert rat("1e4300") == 10**4300
+    assert rat("1e4299") == 10**4299  # 4300 digits, the most str() writes
     assert rat("25E-2") == F(1, 4)
-    for literal in ("1e4301", "1E-4301", "2.5e+10000000", "1" * 4301):
+    assert rat("1" * 4300) == int("1" * 4300)
+    for literal in ("1e4300", "1E-4300", "2.5e+10000000", "1" * 4301):
         with pytest.raises(StructuralError, match="exceeds 4300 digits"):
             rat(literal)
+    for literal in ("1" * 4301 + "/3", "3/" + "1" * 4301):
+        with pytest.raises(StructuralError, match="exceeds 4300 digits"):
+            rat(literal)
+
+
+def test_rat_reads_back_a_long_ratio_it_can_write():
+    value = F(10**2999 + 1, 3 * 10**2999 + 7)  # 3000 + 3001 digits
+    text = fraction_str(value)
+    assert len(text) > 4300
+    assert rat(text) == value
 
 
 def test_pwl_merges_collinear_pieces():
