@@ -1,24 +1,22 @@
-"""Allocation search: exact winner determination and exhaustive enumeration.
+"""Allocation search: exact winner determination and the dominance search.
 
 An allocation is an object-assignment vector: each object goes to one agent
 or stays unsold.  Assignments are ordered lexicographically (objects in index
-order; an agent index beats "unsold", which sorts as n), and winner
-determination returns the lexicographically first argmax of total WP at
-``t_l``.  It finds the optimum with a subset dynamic program over the
-per-agent :func:`wp_tables` rows (Rothkopf, Pekec & Harstad 1998): agent by
-agent, the state is the set of objects still free, so a solve costs
-``O(n * 3**m)``.  It then rebuilds the lexicographically first optimal
-assignment object by object, keeping the first owner from which the optimum
-stays reachable.  A Clarke pivot is the same DP with the pivot agent's row
-left out, welfare only (``welfare_only=True``): no rebuild and no shrink.
+order; an agent index beats "unsold", which sorts as n).  One subset dynamic
+program over the per-agent :func:`wp_tables` rows (Rothkopf, Pekec & Harstad
+1998), :func:`_best_total`, gives the best total reachable from a partial
+assignment: agent by agent, the state is the set of objects still free, so a
+solve costs ``O(n * 3**m)``.  One kernel on top of it, :func:`_first_above`,
+rebuilds the lexicographically first assignment whose total beats a floor,
+object by object, keeping the first owner from which the floor stays beaten.
 
-The exhaustive scan over all ``(n+1)**m`` assignments, :func:`_scan`, serves
-the dominance audit (agent i's row at its own transfer level; the first
-assignment whose total beats a floor) and the tests, as the oracle the DP
-must match bit for bit.  An optional branch-and-bound path prunes with the
-free-disposal upper bound and also returns bit-identical results.  Sums run
-on integers over a common denominator, which keeps the hot loops fast without
-giving up exactness.
+Winner determination passes ``floor = optimum - 1`` and so gets the first
+optimal assignment; a Clarke pivot is the DP alone with the pivot agent's row
+left out (``welfare_only=True``): no rebuild and no shrink.  The dominance
+audit puts agent i's row at its own transfer level and passes its payment
+floor.  Sums run on integers over a common denominator, which keeps the hot
+loops fast without giving up exactness.  The exhaustive ``(n+1)**m`` scan
+lives in the tests, as the oracle both modes must match bit for bit.
 """
 
 from __future__ import annotations
@@ -187,24 +185,6 @@ def wp_tables(economy: Economy, levels: Sequence[Fraction]) -> list[list[Fractio
     return tables
 
 
-def _scan(
-    num_agents: int, num_objects: int, tables: list[list[int]], floor: int
-) -> Iterator[tuple[tuple[int, ...], int]]:
-    """Yield ``(assignment, total)`` each time the total beats ``floor`` and
-    every earlier total, in lexicographic assignment order."""
-    for assignment in product(range(num_agents + 1), repeat=num_objects):
-        masks = [0] * num_agents
-        for obj, owner in enumerate(assignment):
-            if owner < num_agents:
-                masks[owner] |= 1 << obj
-        total = 0
-        for i in range(num_agents):
-            total += tables[i][masks[i]]
-        if total > floor:
-            floor = total
-            yield assignment, total
-
-
 def _best_total(tables: list[list[int]], base: Sequence[int], free: int) -> int:
     """Max of ``sum(tables[i][base[i] | extra[i]])`` over pairwise disjoint
     ``extra[i]`` within the object set ``free``.
@@ -243,17 +223,20 @@ def _best_total(tables: list[list[int]], base: Sequence[int], free: int) -> int:
     return best[free]
 
 
-def _dp_assignment(
-    num_agents: int, num_objects: int, tables: list[list[int]]
-) -> tuple[tuple[int, ...], int]:
-    """The lexicographically first optimal assignment and its total.
+def _first_above(
+    num_agents: int, num_objects: int, tables: list[list[int]], floor: int
+) -> tuple[tuple[int, ...], int] | None:
+    """The lexicographically first assignment whose total beats ``floor``,
+    and that total; None if no assignment does.
 
     Object by object, owners 0..n-1 are tried in order and "unsold" last; an
-    owner is kept as soon as the objects after it can still complete the
-    optimum.
+    owner is kept as soon as the best completion over the later objects
+    still beats the floor.  Tables are integers, so ``floor = optimum - 1``
+    gives the first optimal assignment.  A floor nothing beats costs every
+    owner of every object, so a caller that does not know the optimum checks
+    :func:`_best_total` first.
     """
     full = (1 << num_objects) - 1
-    best = _best_total(tables, [0] * num_agents, full)
     base = [0] * num_agents
     assignment = []
     for obj in range(num_objects):
@@ -261,51 +244,14 @@ def _dp_assignment(
         free = full & ~((bit << 1) - 1)
         for owner in range(num_agents):
             base[owner] |= bit
-            if _best_total(tables, base, free) == best:
+            if _best_total(tables, base, free) > floor:
                 break
             base[owner] ^= bit
         else:
             owner = num_agents
         assignment.append(owner)
-    return tuple(assignment), best
-
-
-def _wd_branch_and_bound(
-    num_agents: int, num_objects: int, tables: list[list[int]]
-) -> tuple[tuple[int, ...], int]:
-    remaining = [0] * (num_objects + 1)
-    for obj in reversed(range(num_objects)):
-        remaining[obj] = remaining[obj + 1] | (1 << obj)
-    masks = [0] * num_agents
-    assignment = [0] * num_objects
-    best = -1
-    best_assign: tuple[int, ...] | None = None
-
-    def recurse(obj: int) -> None:
-        nonlocal best, best_assign
-        if obj == num_objects:
-            welfare = sum(tables[i][masks[i]] for i in range(num_agents))
-            if welfare > best:
-                best = welfare
-                best_assign = tuple(assignment)
-            return
-        if best_assign is not None:
-            rem = remaining[obj]
-            bound = sum(tables[i][masks[i] | rem] for i in range(num_agents))
-            if bound <= best:
-                return
-        bit = 1 << obj
-        for owner in range(num_agents):
-            assignment[obj] = owner
-            masks[owner] |= bit
-            recurse(obj + 1)
-            masks[owner] ^= bit
-        assignment[obj] = num_agents
-        recurse(obj + 1)
-
-    recurse(0)
-    assert best_assign is not None
-    return best_assign, best
+    total = sum(row[b] for row, b in zip(tables, base))
+    return (tuple(assignment), total) if total > floor else None
 
 
 def _submasks_small_first(mask: int) -> list[int]:
@@ -360,7 +306,6 @@ def winner_determination(
     t_l: Rational,
     *,
     zero_agents: frozenset[int] = frozenset(),
-    branch_and_bound: bool = False,
     welfare_only: bool = False,
     rows: list[list[Fraction]] | None = None,
 ) -> tuple[tuple[int, ...] | None, Fraction]:
@@ -390,10 +335,8 @@ def winner_determination(
     tables, denom = normalized_mask_tables(
         [zero if i in zero_agents else row for i, row in enumerate(rows)]
     )
-    if branch_and_bound:
-        assignment, best = _wd_branch_and_bound(n, m, tables)
-    else:
-        assignment, best = _dp_assignment(n, m, tables)
+    best = _best_total(tables, [0] * n, (1 << m) - 1)
+    assignment, _ = _first_above(n, m, tables, best - 1)
     bundles = assignment_bundles(n, assignment)
     bundles = _minimal_equivalent_bundles(economy, t, bundles, zero_agents)
     return bundles, Fraction(best, denom)

@@ -8,9 +8,11 @@ preference plus weakly larger total payment, one strict) iff some
 alternative allocation has a strictly larger retained total
 ``sum_i t*_i + sum_i WP_i(S_i, t*_i)``: any strict agentwise improvement can
 be converted into payment slack.  That reduces a search over real payment
-vectors to winner determination's own allocation scan, run with agent i's
-WP row at ``t*_i`` and stopped at the first total above the floor
-``payment total - sum_i t*_i``.
+vectors to winner determination's own kernel: one subset-DP solve, with
+agent i's WP row at ``t*_i``, says whether any total beats the floor
+``payment total - sum_i t*_i``; if one does, the same greedy rebuild that
+gives the first optimal allocation gives the first allocation above the
+floor.
 
 The auditors take the mechanism under test as a callable, so hand-built
 alternatives can be screened with the same machinery as the built-in one.
@@ -24,7 +26,8 @@ from fractions import Fraction
 
 from .allocation import (
     Economy,
-    _scan,
+    _best_total,
+    _first_above,
     assignment_bundles,
     ensure_search_space,
     normalized_mask_tables,
@@ -132,12 +135,13 @@ def find_pareto_improvement(
     floor = profile.payment_total() - sum(t_stars, Fraction(0))
     tables, denom = normalized_mask_tables(rows, extra=(floor,))
     floor_int = floor.numerator * (denom // floor.denominator)
-    for assignment, total in _scan(n, m, tables, floor_int):
-        masks = assignment_bundles(n, assignment)
-        outcomes = tuple((masks[i], t_stars[i] + rows[i][masks[i]]) for i in range(n))
-        gain = Fraction(total - floor_int, denom)
-        return DominanceWitness(OutcomeProfile(outcomes), gain, ())
-    return None
+    if _best_total(tables, [0] * n, (1 << m) - 1) <= floor_int:
+        return None
+    assignment, total = _first_above(n, m, tables, floor_int)
+    masks = assignment_bundles(n, assignment)
+    outcomes = tuple((masks[i], t_stars[i] + rows[i][masks[i]]) for i in range(n))
+    gain = Fraction(total - floor_int, denom)
+    return DominanceWitness(OutcomeProfile(outcomes), gain, ())
 
 
 def dominates(economy: Economy, candidate: OutcomeProfile, base: OutcomeProfile) -> bool:

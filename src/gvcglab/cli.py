@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / expectations met, 1 expectation mismatch or failed
-reproduction, 2 input error (unparsable file, unknown name), 3 search-space
-guard exceeded.  The guard can be overridden through the GVCGLAB_GUARD
-environment variable.
+reproduction, 2 input error (unparsable file, unknown name, wrong JSON
+type), 3 search-space guard exceeded, 4 internal error (any other exception:
+one line on stderr, no traceback).  The guard can be overridden through the
+GVCGLAB_GUARD environment variable.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ EXIT_OK = 0
 EXIT_MISMATCH = 1
 EXIT_INPUT = 2
 EXIT_GUARD = 3
+EXIT_INTERNAL = 4
 
 
 def _int_in(low: int, high: int | None = None):
@@ -59,12 +61,6 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         help="override the reference transfer level (use --t-l=-1 for negative values)",
     )
-    solve.add_argument(
-        "--branch-and-bound",
-        action="store_true",
-        help="find the allocation by branch-and-bound instead of the subset DP "
-        "(same result; the Clarke pivots always use the DP)",
-    )
 
     audit = sub.add_parser("audit", help="run a scenario's audits and diff expectations")
     audit.add_argument("path")
@@ -90,7 +86,7 @@ def _build_parser() -> argparse.ArgumentParser:
 def _cmd_solve(args: argparse.Namespace) -> int:
     scenario = load_scenario(args.path)
     t = scenario.t_l if args.t_l is None else rat(args.t_l)
-    result = run_gvcg(scenario.economy, t, branch_and_bound=args.branch_and_bound)
+    result = run_gvcg(scenario.economy, t)
     sys.stdout.write(serialize.dumps(serialize.result_to_json(result, scenario.economy.object_names)))
     return EXIT_OK
 
@@ -147,6 +143,9 @@ def main(argv: list[str] | None = None) -> int:
     except (StructuralError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    except Exception as exc:
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

@@ -29,23 +29,18 @@ class MechanismResult:
     t_l: Fraction
 
 
-def run_gvcg(
-    economy: Economy, t_l: Rational, *, branch_and_bound: bool = False
-) -> MechanismResult:
+def run_gvcg(economy: Economy, t_l: Rational) -> MechanismResult:
     """Run the generalized VCG mechanism at reference transfer level ``t_l``.
 
     Payment of agent i is ``t_l`` plus the best total WP the other agents
     could reach (agent i's WP zeroed, slot kept) minus the total WP the
     others realize at the chosen allocation.  That best total, the Clarke
     pivot, is a welfare-only solve; all n+1 solves share one table build.
-    ``branch_and_bound`` selects the search for the allocation only.
     """
     t = rat(t_l)
     ensure_search_space(economy.num_agents, economy.num_objects)
     rows = wp_tables(economy, [t] * economy.num_agents)
-    bundles, welfare = winner_determination(
-        economy, t, branch_and_bound=branch_and_bound, rows=rows
-    )
+    bundles, welfare = winner_determination(economy, t, rows=rows)
     payments = []
     for i, pref in enumerate(economy.preferences):
         _, rivals_best = winner_determination(
@@ -97,10 +92,10 @@ class GuaranteeReport:
 
 
 def run_gvcg_with_audit(
-    economy: Economy, t_l: Rational, *, branch_and_bound: bool = False
+    economy: Economy, t_l: Rational
 ) -> tuple[MechanismResult, GuaranteeReport]:
     """Run the mechanism and assert its outcome guarantees per agent."""
-    result = run_gvcg(economy, t_l, branch_and_bound=branch_and_bound)
+    result = run_gvcg(economy, t_l)
     t = result.t_l
     entries = []
     for i, pref in enumerate(economy.preferences):

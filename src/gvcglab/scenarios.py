@@ -217,6 +217,7 @@ def scenario_to_json(scenario: Scenario) -> dict[str, Any]:
 
 
 def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
+    serialize.check_type(obj, dict, "scenario")
     economy = serialize.economy_from_json(obj["economy"])
     names = economy.object_names
     raw_audits = obj.get("audits") or []
@@ -237,16 +238,24 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
             if not isinstance(agent_devs, list):
                 raise StructuralError(f"deviations[{i}] must be a list of preferences")
         deviations = tuple(
-            tuple(serialize.preference_from_json(p, names) for p in agent_devs)
-            for agent_devs in raw_devs
+            tuple(
+                serialize.preference_from_json(
+                    serialize.check_type(p, dict, f"deviations[{i}][{j}]"), names
+                )
+                for j, p in enumerate(agent_devs)
+            )
+            for i, agent_devs in enumerate(raw_devs)
         )
+    expected = obj.get("expected")
+    if expected is not None:
+        serialize.check_type(expected, dict, "expected")
     return Scenario(
         name=str(obj.get("name", "")),
         economy=economy,
         t_l=rat(obj["t_L"]),
         audits=audits,
         deviations=deviations,
-        expected=obj.get("expected"),
+        expected=expected,
     )
 
 
@@ -260,10 +269,7 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def run_scenario(
-    scenario: Scenario,
-    *,
-    t_l_override: Rational | None = None,
-    branch_and_bound: bool = False,
+    scenario: Scenario, *, t_l_override: Rational | None = None
 ) -> dict[str, Any]:
     """Run the mechanism plus the selected audits; return the report dict."""
     economy = scenario.economy
@@ -273,10 +279,10 @@ def run_scenario(
 
     checks: dict[str, Any] = {}
     if "guarantees" in audits:
-        result, guarantees = run_gvcg_with_audit(economy, t, branch_and_bound=branch_and_bound)
+        result, guarantees = run_gvcg_with_audit(economy, t)
         checks["guarantees"] = {"ok": guarantees.ok}
     else:
-        result = run_gvcg(economy, t, branch_and_bound=branch_and_bound)
+        result = run_gvcg(economy, t)
 
     if "dominance" in audits:
         witness = find_pareto_improvement(economy, OutcomeProfile.from_result(result))

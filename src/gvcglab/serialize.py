@@ -28,6 +28,16 @@ from .prefs import (
 )
 
 
+_JSON_TYPES = {dict: "an object", list: "a list", str: "a string"}
+
+
+def check_type(value: Any, kind: type, field: str) -> Any:
+    """``value`` if it has JSON type ``kind``; else a StructuralError naming ``field``."""
+    if not isinstance(value, kind):
+        raise StructuralError(f"{field} must be {_JSON_TYPES[kind]}, not {type(value).__name__}")
+    return value
+
+
 def fraction_str(value: Fraction) -> str:
     return str(value)
 
@@ -81,14 +91,18 @@ def preference_to_json(pref: Preference, names: Sequence[str]) -> dict[str, Any]
 def preference_from_json(obj: Mapping[str, Any], names: Sequence[str]) -> Preference:
     kind = obj.get("kind")
     if kind == "dichotomous":
+        bundles = check_type(obj["minimal_bundles"], list, "minimal_bundles")
         return Dichotomous(
-            tuple(bundle_from_names(mb, names) for mb in obj["minimal_bundles"]),
+            tuple(
+                bundle_from_names(check_type(mb, list, f"minimal_bundles[{k}]"), names)
+                for k, mb in enumerate(bundles)
+            ),
             pwl_map_from_json(obj["wp"]),
         )
     if kind == "tabular":
         table = {
             bundle_from_names(key.split(",") if key else [], names): pwl_map_from_json(val)
-            for key, val in obj["bundles"].items()
+            for key, val in check_type(obj["bundles"], dict, "bundles").items()
         }
         return Tabular.from_table(len(names), table)
     raise StructuralError(f"unknown preference kind {kind!r}")
@@ -104,10 +118,17 @@ def economy_to_json(economy: Economy) -> dict[str, Any]:
 
 
 def economy_from_json(obj: Mapping[str, Any]) -> Economy:
-    names = tuple(obj["objects"])
+    check_type(obj, dict, "economy")
+    names = tuple(check_type(obj["objects"], list, "economy.objects"))
+    for j, name in enumerate(names):
+        check_type(name, str, f"economy.objects[{j}]")
+    prefs = check_type(obj["preferences"], list, "economy.preferences")
     return Economy(
         names,
-        tuple(preference_from_json(p, names) for p in obj["preferences"]),
+        tuple(
+            preference_from_json(check_type(p, dict, f"economy.preferences[{i}]"), names)
+            for i, p in enumerate(prefs)
+        ),
     )
 
 

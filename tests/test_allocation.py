@@ -1,4 +1,4 @@
-"""Allocation enumeration and winner-determination tests."""
+"""Allocation enumeration, winner-determination and threshold-kernel tests."""
 
 import random
 from collections import deque
@@ -29,14 +29,31 @@ from gvcglab import (
     wp,
 )
 from gvcglab.allocation import (
-    _dp_assignment,
+    _best_total,
+    _first_above,
     _minimal_equivalent_bundles,
-    _scan,
     normalized_mask_tables,
     wp_tables,
 )
 
 A, B, AB = 0b01, 0b10, 0b11
+
+
+def scan(num_agents, num_objects, tables, floor):
+    """The exhaustive oracle: yield ``(assignment, total)`` each time the
+    total beats ``floor`` and every earlier total, over all ``(n+1)**m``
+    assignments in lexicographic order (unsold = n)."""
+    for assignment in product(range(num_agents + 1), repeat=num_objects):
+        masks = [0] * num_agents
+        for obj, owner in enumerate(assignment):
+            if owner < num_agents:
+                masks[owner] |= 1 << obj
+        total = 0
+        for i in range(num_agents):
+            total += tables[i][masks[i]]
+        if total > floor:
+            floor = total
+            yield assignment, total
 
 
 def brute_force_welfare(economy, t_l):
@@ -205,19 +222,6 @@ def test_wd_matches_brute_force_oracle_small_random():
         validate_allocation(alloc, eco.num_objects)
 
 
-def test_branch_and_bound_agrees_bit_exactly():
-    rng = random.Random(23)
-    for _ in range(200):
-        eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
-        t = F(rng.choice((-1, 0, 1)))
-        zero = frozenset(
-            i for i in range(eco.num_agents) if rng.random() < 0.2
-        )
-        plain = winner_determination(eco, t, zero_agents=zero)
-        pruned = winner_determination(eco, t, zero_agents=zero, branch_and_bound=True)
-        assert plain == pruned
-
-
 # ---------------------------------------------------------------------------
 # subset DP against the exhaustive scan (the oracle)
 
@@ -231,14 +235,15 @@ def _oracle(economy, t, zero_agents=frozenset()):
     tables, denom = normalized_mask_tables(
         [zero if i in zero_agents else row for i, row in enumerate(rows)]
     )
-    assignment, best = deque(_scan(n, m, tables, -1), maxlen=1).pop()
+    assignment, best = deque(scan(n, m, tables, -1), maxlen=1).pop()
     return assignment, best, tables, denom
 
 
 def _check_against_oracle(economy, t, zero_agents=frozenset()):
     n, m = economy.num_agents, economy.num_objects
     assignment, best, tables, denom = _oracle(economy, t, zero_agents)
-    assert _dp_assignment(n, m, tables) == (assignment, best)
+    assert _best_total(tables, [0] * n, (1 << m) - 1) == best
+    assert _first_above(n, m, tables, best - 1) == (assignment, best)
     bundles = _minimal_equivalent_bundles(
         economy, t, assignment_bundles(n, assignment), zero_agents
     )
@@ -270,6 +275,15 @@ def test_dp_matches_scan_on_random_economies():
     for _ in range(150):
         eco = random_economy(rng, rng.randint(1, 5), rng.randint(1, 4), "mixed")
         t = F(rng.randint(-2, 2), rng.randint(1, 3))
+        zero = frozenset(i for i in range(eco.num_agents) if rng.random() < 0.2)
+        _check_against_oracle(eco, t, zero)
+
+
+def test_dp_matches_scan_at_integer_reference_levels():
+    rng = random.Random(23)
+    for _ in range(200):
+        eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
+        t = F(rng.choice((-1, 0, 1)))
         zero = frozenset(i for i in range(eco.num_agents) if rng.random() < 0.2)
         _check_against_oracle(eco, t, zero)
 
@@ -372,3 +386,72 @@ def test_welfare_is_invariant_under_relabelling():
         for order in permutations(range(n)):
             shuffled = Economy(eco.object_names, tuple(eco.preferences[i] for i in order))
             assert winner_determination(shuffled, t)[1] == welfare
+
+
+# ---------------------------------------------------------------------------
+# the threshold kernel against the first scan record above a floor
+
+
+def _tables_at(economy, levels):
+    """Integer WP tables at per-agent levels, as the dominance audit builds them."""
+    tables, _ = normalized_mask_tables(wp_tables(economy, levels))
+    return tables
+
+
+def _random_levels(rng, n):
+    return [F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)]
+
+
+def _check_floors(rng, n, m, tables):
+    best = _best_total(tables, [0] * n, (1 << m) - 1)
+    assert best == deque(scan(n, m, tables, -1), maxlen=1).pop()[1]
+    floors = [best, best + rng.randint(1, 3), -1 - rng.randint(0, 3)]
+    if best > 0:
+        floors += [0, best - 1] + [rng.randrange(best) for _ in range(3)]
+    for floor in floors:
+        assert _first_above(n, m, tables, floor) == next(scan(n, m, tables, floor), None), floor
+    assert _first_above(n, m, tables, best) is None
+    all_to_zero = tables[0][(1 << m) - 1] + sum(row[0] for row in tables[1:])
+    assert _first_above(n, m, tables, -1) == ((0,) * m, all_to_zero)
+
+
+def test_first_above_matches_first_scan_record_on_random_tables():
+    rng = random.Random(59)
+    for _ in range(60):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        eco = random_economy(rng, n, m, rng.choice(("mixed", "pos", "neg")))
+        _check_floors(rng, n, m, _tables_at(eco, _random_levels(rng, n)))
+
+
+def test_first_above_with_tie_heavy_duplicated_agents():
+    rng = random.Random(61)
+    for _ in range(30):
+        base = random_economy(rng, rng.randint(1, 2), rng.randint(1, 5), "mixed")
+        prefs = list(base.preferences) * 2
+        rng.shuffle(prefs)
+        eco = Economy(base.object_names, tuple(prefs))
+        t = F(rng.randint(-1, 1))
+        _check_floors(rng, eco.num_agents, eco.num_objects, _tables_at(eco, [t] * len(prefs)))
+    for n, m in ((1, 5), (3, 4), (5, 3)):
+        pref = Dichotomous(tuple(1 << j for j in range(m)), PwlMap.constant(1))
+        eco = Economy(tuple("abcde"[:m]), (pref,) * n)
+        _check_floors(rng, n, m, _tables_at(eco, [F(0)] * n))
+
+
+def test_first_above_with_one_agent_or_one_object():
+    rng = random.Random(67)
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        eco = random_economy(rng, 1, m, "mixed")
+        _check_floors(rng, 1, m, _tables_at(eco, _random_levels(rng, 1)))
+        n = rng.randint(1, 5)
+        eco = random_economy(rng, n, 1, "mixed")
+        _check_floors(rng, n, 1, _tables_at(eco, _random_levels(rng, n)))
+
+
+def test_first_above_on_tabular_unit_demand_agents():
+    rng = random.Random(71)
+    for _ in range(30):
+        n, m = rng.randint(1, 4), rng.randint(1, 4)
+        eco = _unit_demand_economy(rng, n, m)
+        _check_floors(rng, n, m, _tables_at(eco, _random_levels(rng, n)))

@@ -1,6 +1,7 @@
 """Scenario serialization, audit reports, and CLI behaviour."""
 
 import json
+import random
 import time
 from fractions import Fraction as F
 from pathlib import Path
@@ -9,16 +10,22 @@ import pytest
 
 from gvcglab import (
     BUILTIN_NAMES,
+    MechanismResult,
     StructuralError,
     builtin_scenario,
+    enumerate_allocations,
     load_scenario,
+    random_economy,
     reproduce,
     run_scenario,
     scenario_from_json,
     scenario_to_json,
+    wp,
 )
+from gvcglab import cli
+from gvcglab.allocation import _minimal_equivalent_bundles
 from gvcglab.cli import main
-from gvcglab.serialize import dumps
+from gvcglab.serialize import dumps, economy_to_json, result_to_json
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -323,10 +330,103 @@ def test_cli_fuzz_accepts_the_size_limits(capsys):
     assert json.loads(capsys.readouterr().out)["samples"] == 0
 
 
-def test_cli_solve_branch_and_bound_agrees(capsys):
-    plain = main(["solve", str(SCENARIO_DIR / "ex3.json")])
-    out_plain = capsys.readouterr().out
-    pruned = main(["solve", str(SCENARIO_DIR / "ex3.json"), "--branch-and-bound"])
-    out_pruned = capsys.readouterr().out
-    assert plain == pruned == 0
-    assert out_plain == out_pruned
+def _scan_result(economy, t):
+    """Mechanism outcome from exhaustive scans: the lexicographically first
+    argmax, shrunk, and each Clarke pivot as a brute-force maximum."""
+    prefs = economy.preferences
+    allocations = list(enumerate_allocations(economy.num_agents, economy.num_objects))
+    welfare, first = None, None
+    for alloc in allocations:
+        total = sum(wp(p, b, t) for p, b in zip(prefs, alloc))
+        if welfare is None or total > welfare:
+            welfare, first = total, alloc
+    bundles = _minimal_equivalent_bundles(economy, t, first, frozenset())
+    payments = []
+    for i, pref in enumerate(prefs):
+        rivals_best = max(
+            sum(wp(p, b, t) for j, (p, b) in enumerate(zip(prefs, alloc)) if j != i)
+            for alloc in allocations
+        )
+        payments.append(t + rivals_best - (welfare - wp(pref, bundles[i], t)))
+    return MechanismResult(bundles, tuple(payments), welfare, t)
+
+
+def test_cli_solve_matches_scan_oracle(tmp_path, capsys):
+    paths = [SCENARIO_DIR / f"{name}.json" for name in BUILTIN_NAMES]
+    rng = random.Random(5)
+    for k in range(12):
+        n, m = rng.randint(1, 4), rng.randint(1, 3)
+        economy = random_economy(rng, n, m, "mixed")
+        doc = {"name": f"r{k}", "economy": economy_to_json(economy), "t_L": str(rng.randint(-1, 1))}
+        paths.append(tmp_path / f"r{k}.json")
+        paths[-1].write_text(json.dumps(doc))
+    for path in paths:
+        scenario = load_scenario(path)
+        assert main(["solve", str(path)]) == 0
+        expected = _scan_result(scenario.economy, scenario.t_l)
+        names = scenario.economy.object_names
+        assert capsys.readouterr().out == dumps(result_to_json(expected, names)), path.name
+    with pytest.raises(SystemExit):
+        main(["solve", str(paths[0]), "--branch-and-bound"])
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize(
+    "field, value, message",
+    [
+        ("preferences", "abc", "economy.preferences must be a list"),
+        ("preferences", {"z": 1}, "economy.preferences must be a list"),
+        ("preferences", [[1]], "economy.preferences[0] must be an object"),
+        ("objects", "abc", "economy.objects must be a list"),
+    ],
+)
+def test_cli_economy_field_of_wrong_type_exits_two(tmp_path, capsys, field, value, message):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    scenario["economy"][field] = value
+    path = tmp_path / "typed.json"
+    path.write_text(json.dumps(scenario))
+    for command in ("solve", "audit"):
+        assert main([command, str(path)]) == 2
+        captured = capsys.readouterr()
+        assert message in captured.err
+        assert "Traceback" not in captured.err and captured.out == ""
+
+
+def test_cli_expected_given_as_a_list_exits_two(tmp_path, capsys):
+    code, err = _audit_exit_code(tmp_path, capsys, expected=[1])
+    assert code == 2
+    assert "expected must be an object" in err
+
+
+def test_cli_unexpected_exception_exits_four_without_traceback(monkeypatch, capsys):
+    def broken(args):
+        raise RuntimeError("solver state\nlost")
+
+    monkeypatch.setattr(cli, "_cmd_solve", broken)
+    assert main(["solve", str(SCENARIO_DIR / "ex1.json")]) == 4
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: RuntimeError(")
+    assert err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_nested_fields_of_wrong_type_are_named():
+    doc = scenario_to_json(builtin_scenario("ex3"))
+    cases = [
+        (("economy", "preferences", 0, "minimal_bundles"), "ab", "minimal_bundles must be a list"),
+        (("economy", "preferences", 0, "minimal_bundles", 0), "ab", "minimal_bundles[0] must be a list"),
+        (("economy", "preferences", 1, "bundles"), [], "bundles must be an object"),
+        (("economy", "objects", 1), 2, "economy.objects[1] must be a string"),
+        (("deviations", 1, 0), "x", "deviations[1][0] must be an object"),
+        ((), [doc], "scenario must be an object"),
+    ]
+    for path, value, message in cases:
+        broken = json.loads(json.dumps(doc))
+        if path:
+            node = broken
+            for step in path[:-1]:
+                node = node[step]
+            node[path[-1]] = value
+        else:
+            broken = value
+        with pytest.raises(StructuralError, match=message.replace("[", r"\[")):
+            scenario_from_json(broken)

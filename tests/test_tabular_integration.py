@@ -30,6 +30,7 @@ from gvcglab import (
     winner_determination,
     wp,
 )
+from gvcglab.allocation import _minimal_equivalent_bundles
 from gvcglab.serialize import preference_from_json, preference_to_json
 
 
@@ -81,14 +82,14 @@ def test_wd_on_mixed_economies_matches_brute_force():
         eco = random_mixed_economy(rng, n, m)
         t = F(rng.randint(-2, 2))
         alloc, welfare = winner_determination(eco, t)
-        oracle = max(
-            sum(wp(p, b, t) for p, b in zip(eco.preferences, cand))
-            for cand in enumerate_allocations(n, m)
-        )
+        oracle, first = None, None
+        for cand in enumerate_allocations(n, m):
+            total = sum(wp(p, b, t) for p, b in zip(eco.preferences, cand))
+            if oracle is None or total > oracle:
+                oracle, first = total, cand
         assert welfare == oracle
         assert sum(wp(p, b, t) for p, b in zip(eco.preferences, alloc)) == welfare
-        pruned = winner_determination(eco, t, branch_and_bound=True)
-        assert pruned == (alloc, welfare)
+        assert alloc == _minimal_equivalent_bundles(eco, t, first, frozenset())
 
 
 def test_outcome_guarantees_hold_on_mixed_economies():
