@@ -7,6 +7,8 @@ strategyproofness / IR / no-subsidy audits, and reproducible random property
 suites.
 """
 
+from types import ModuleType as _ModuleType
+
 from .prefs import (
     ClassificationReport,
     Comparison,
@@ -40,8 +42,6 @@ from .allocation import (
     winner_determination,
 )
 from .mechanism import (
-    AgentGuaranteeCheck,
-    GuaranteeReport,
     InternalAuditError,
     MechanismResult,
     run_gvcg,
@@ -70,7 +70,6 @@ from .scenarios import (
     BUILTIN_NAMES,
     REPRODUCE_NAMES,
     Scenario,
-    builtin_scenario,
     expected_matches,
     inefficiency_trio,
     load_scenario,
@@ -90,73 +89,9 @@ from .scenarios import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AUDIT_NAMES",
-    "AgentGuaranteeCheck",
-    "BUILTIN_NAMES",
-    "ClassificationReport",
-    "Comparison",
-    "DEFAULT_CLASSIFY_GRID",
-    "Dichotomous",
-    "DominanceWitness",
-    "Economy",
-    "GuaranteeReport",
-    "INCOME_EFFECT_MODES",
-    "InternalAuditError",
-    "IrNoSubsidyReport",
-    "ManipulationWitness",
-    "MechanismResult",
-    "Outcome",
-    "OutcomeProfile",
-    "Preference",
-    "PwlMap",
-    "REPRODUCE_NAMES",
-    "Scenario",
-    "SearchSpaceError",
-    "StructuralError",
-    "Tabular",
-    "ZERO_MAP",
-    "assignment_bundles",
-    "audit_dsic",
-    "audit_ir_no_subsidy",
-    "builtin_scenario",
-    "classify",
-    "compare_outcomes",
-    "dominates",
-    "empty_equivalent_transfer",
-    "enumerate_allocations",
-    "enumerate_assignments",
-    "ensure_search_space",
-    "expected_matches",
-    "find_pareto_improvement",
-    "guard_limit",
-    "inefficiency_trio",
-    "load_scenario",
-    "max_retained_payment",
-    "negative_income_trio",
-    "positive_income_trio",
-    "pwl_leq",
-    "pwl_pointwise_max",
-    "random_deviation_grid",
-    "random_dichotomous",
-    "random_economy",
-    "random_pwl_map",
-    "rat",
-    "reproduce",
-    "run_gvcg",
-    "run_gvcg_with_audit",
-    "run_scenario",
-    "scenario_from_json",
-    "scenario_to_json",
-    "search_space_size",
-    "survey_axioms",
-    "survey_dominance",
-    "survey_two_agent_efficiency",
-    "unit_demand_misreport",
-    "unit_demand_pref",
-    "unit_demand_trio",
-    "validate_allocation",
-    "winner_determination",
-    "wp",
-    "wp_map",
-]
+# every name imported above, and no submodule
+__all__ = sorted(
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
+)

@@ -12,7 +12,7 @@ object by object, keeping the first owner from which the floor stays beaten.
 
 Winner determination passes ``floor = optimum - 1`` and so gets the first
 optimal assignment; a Clarke pivot is the DP alone with the pivot agent's row
-left out (``welfare_only=True``): no rebuild and no shrink.  The dominance
+left out (``leave_out=i``): no rebuild and no shrink.  The dominance
 audit puts agent i's row at its own transfer level and passes its payment
 floor.  Sums run on integers over a common denominator, which keeps the hot
 loops fast without giving up exactness.  The exhaustive ``(n+1)**m`` scan
@@ -267,21 +267,17 @@ def _submasks_small_first(mask: int) -> list[int]:
 
 
 def _minimal_equivalent_bundles(
-    economy: Economy,
-    t_l: Fraction,
-    bundles: tuple[int, ...],
-    zero_agents: frozenset[int],
+    economy: Economy, t_l: Fraction, bundles: tuple[int, ...]
 ) -> tuple[int, ...]:
     """Shrink each bundle to a minimal subset with equal WP at t_l.
 
     Surplus objects are released to unsold; welfare is unchanged.
     """
     out = []
-    for i, bundle in enumerate(bundles):
-        if i in zero_agents or bundle == 0:
+    for pref, bundle in zip(economy.preferences, bundles):
+        if bundle == 0:
             out.append(0)
             continue
-        pref = economy.preferences[i]
         if isinstance(pref, Dichotomous):
             if not pref.accepts(bundle):
                 out.append(0)
@@ -305,38 +301,35 @@ def winner_determination(
     economy: Economy,
     t_l: Rational,
     *,
-    zero_agents: frozenset[int] = frozenset(),
-    welfare_only: bool = False,
+    leave_out: int | None = None,
     rows: list[list[Fraction]] | None = None,
 ) -> tuple[tuple[int, ...] | None, Fraction]:
     """Maximize total WP at ``t_l`` over all allocations.
 
     Returns the winning allocation (after shrinking each bundle to a minimal
-    subset of equal WP) and the exact optimal welfare.  Agents listed in
-    ``zero_agents`` contribute zero WP for every bundle but still occupy an
-    allocation slot.
+    subset of equal WP) and the exact optimal welfare.
 
-    ``welfare_only`` returns ``None`` in place of the allocation and skips
-    the rebuild and the shrink: this is the solve behind a Clarke pivot.  A
-    zeroed row adds nothing to the monotone DP, so it is simply left out.
-    ``rows``, if given, must be ``wp_tables(economy, [t_l] * n)``; it lets
-    several solves at one ``t_l`` share a single table build.
+    ``leave_out=i`` is the solve behind agent i's Clarke pivot: the best
+    total the other agents reach, with row i left out of the DP.  It returns
+    ``None`` in place of the allocation and skips the rebuild and the
+    shrink.  ``rows``, if given, must be ``wp_tables(economy, [t_l] * n)``;
+    it lets several solves at one ``t_l`` share a single table build.
     """
     n, m = economy.num_agents, economy.num_objects
     ensure_search_space(n, m)
     t = rat(t_l)
     if rows is None:
         rows = wp_tables(economy, [t] * n)
-    if welfare_only:
-        kept = [row for i, row in enumerate(rows) if i not in zero_agents]
+    full = (1 << m) - 1
+    if leave_out is not None:
+        if not 0 <= leave_out < n:
+            raise ValueError(f"leave_out={leave_out} is not an agent of {n}")
+        kept = [row for i, row in enumerate(rows) if i != leave_out]
         tables, denom = normalized_mask_tables(kept)
-        return None, Fraction(_best_total(tables, [0] * len(kept), (1 << m) - 1), denom)
-    zero = [Fraction(0)] * (1 << m)
-    tables, denom = normalized_mask_tables(
-        [zero if i in zero_agents else row for i, row in enumerate(rows)]
-    )
-    best = _best_total(tables, [0] * n, (1 << m) - 1)
+        return None, Fraction(_best_total(tables, [0] * len(kept), full), denom)
+    tables, denom = normalized_mask_tables(rows)
+    best = _best_total(tables, [0] * n, full)
     assignment, _ = _first_above(n, m, tables, best - 1)
     bundles = assignment_bundles(n, assignment)
-    bundles = _minimal_equivalent_bundles(economy, t, bundles, zero_agents)
+    bundles = _minimal_equivalent_bundles(economy, t, bundles)
     return bundles, Fraction(best, denom)

@@ -16,6 +16,8 @@ floor.
 
 The auditors take the mechanism under test as a callable, so hand-built
 alternatives can be screened with the same machinery as the built-in one.
+The IR / no-subsidy audit is the mechanism's own outcome check
+(``mechanism._reference_checks``) at reference level 0 instead of ``t_L``.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from .allocation import (
     validate_allocation,
     wp_tables,
 )
-from .mechanism import MechanismResult
+from .mechanism import MechanismResult, _reference_checks
 from .prefs import (
     Comparison,
     Outcome,
@@ -188,49 +190,22 @@ def audit_dsic(
 
 @dataclass(frozen=True)
 class IrNoSubsidyReport:
-    """Per-agent individual rationality and no-subsidy checks.
+    """Per-agent individual rationality against ``(empty, 0)`` and no subsidy
+    (payment at least 0).
 
-    The payment-bound entries apply only at reference level zero: agents
-    with zero WP on their bundle must pay exactly zero, and nobody pays
-    more than her WP at zero.  They are None otherwise.
+    Together they put each payment in ``[0, WP(bundle, 0)]``, so an agent
+    whose bundle has zero WP at 0 pays exactly 0.
     """
 
     individually_rational: tuple[bool, ...]
     no_subsidy: tuple[bool, ...]
-    loser_payments_zero: tuple[bool, ...] | None
-    payments_within_wp: tuple[bool, ...] | None
 
     @property
     def ok(self) -> bool:
-        parts = [all(self.individually_rational), all(self.no_subsidy)]
-        if self.loser_payments_zero is not None:
-            parts.append(all(self.loser_payments_zero))
-        if self.payments_within_wp is not None:
-            parts.append(all(self.payments_within_wp))
-        return all(parts)
+        return all(self.individually_rational) and all(self.no_subsidy)
 
 
 def audit_ir_no_subsidy(economy: Economy, result: MechanismResult) -> IrNoSubsidyReport:
     """Check IR against (empty, 0) and payments >= 0 for a mechanism result."""
     validate_allocation(result.allocation, economy.num_objects)
-    zero = Fraction(0)
-    ir = []
-    no_subsidy = []
-    losers_zero = [] if result.t_l == 0 else None
-    within_wp = [] if result.t_l == 0 else None
-    for pref, bundle, payment in zip(
-        economy.preferences, result.allocation, result.payments
-    ):
-        outcome = (bundle, payment)
-        ir.append(compare_outcomes(pref, outcome, (0, zero)) is not Comparison.WORSE)
-        no_subsidy.append(payment >= 0)
-        if result.t_l == 0:
-            value = wp(pref, bundle, zero)
-            losers_zero.append(payment == 0 if value == 0 else True)
-            within_wp.append(0 <= payment <= value)
-    return IrNoSubsidyReport(
-        individually_rational=tuple(ir),
-        no_subsidy=tuple(no_subsidy),
-        loser_payments_zero=None if losers_zero is None else tuple(losers_zero),
-        payments_within_wp=None if within_wp is None else tuple(within_wp),
-    )
+    return IrNoSubsidyReport(*_reference_checks(economy, result, Fraction(0)))

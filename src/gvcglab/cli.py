@@ -1,10 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / expectations met, 1 expectation mismatch or failed
-reproduction, 2 input error (unparsable file, unknown name, wrong JSON
-type), 3 search-space guard exceeded, 4 internal error (any other exception:
-one line on stderr, no traceback).  The guard can be overridden through the
-GVCGLAB_GUARD environment variable.
+reproduction, 2 input error (unparsable file, unknown name, missing field or
+wrong JSON type), 3 search-space guard exceeded, 4 internal error (any other
+exception: one line on stderr, no traceback).  The guard can be overridden
+through the GVCGLAB_GUARD environment variable.
 """
 
 from __future__ import annotations

@@ -38,6 +38,13 @@ def check_type(value: Any, kind: type, field: str) -> Any:
     return value
 
 
+def required(obj: Mapping[str, Any], key: str, parent: str = "") -> Any:
+    """``obj[key]``; a StructuralError naming ``parent.key`` if it is missing."""
+    if key not in obj:
+        raise StructuralError(f"{parent}.{key} is missing" if parent else f"{key} is missing")
+    return obj[key]
+
+
 def fraction_str(value: Fraction) -> str:
     return str(value)
 
@@ -66,10 +73,14 @@ def pwl_map_to_json(pwl: PwlMap) -> dict[str, Any]:
 
 
 def pwl_map_from_json(obj: Mapping[str, Any]) -> PwlMap:
-    return PwlMap(
-        tuple(rat(b) for b in obj["breakpoints"]),
-        tuple((rat(p["intercept"]), rat(p["slope"])) for p in obj["pieces"]),
-    )
+    breakpoints = check_type(required(obj, "breakpoints"), list, "breakpoints")
+    pieces = []
+    for k, piece in enumerate(check_type(required(obj, "pieces"), list, "pieces")):
+        field = f"pieces[{k}]"
+        check_type(piece, dict, field)
+        intercept = rat(required(piece, "intercept", field))
+        pieces.append((intercept, rat(required(piece, "slope", field))))
+    return PwlMap(tuple(rat(b) for b in breakpoints), tuple(pieces))
 
 
 def preference_to_json(pref: Preference, names: Sequence[str]) -> dict[str, Any]:
@@ -91,18 +102,20 @@ def preference_to_json(pref: Preference, names: Sequence[str]) -> dict[str, Any]
 def preference_from_json(obj: Mapping[str, Any], names: Sequence[str]) -> Preference:
     kind = obj.get("kind")
     if kind == "dichotomous":
-        bundles = check_type(obj["minimal_bundles"], list, "minimal_bundles")
+        bundles = check_type(required(obj, "minimal_bundles"), list, "minimal_bundles")
         return Dichotomous(
             tuple(
                 bundle_from_names(check_type(mb, list, f"minimal_bundles[{k}]"), names)
                 for k, mb in enumerate(bundles)
             ),
-            pwl_map_from_json(obj["wp"]),
+            pwl_map_from_json(check_type(required(obj, "wp"), dict, "wp")),
         )
     if kind == "tabular":
         table = {
-            bundle_from_names(key.split(",") if key else [], names): pwl_map_from_json(val)
-            for key, val in check_type(obj["bundles"], dict, "bundles").items()
+            bundle_from_names(key.split(",") if key else [], names): pwl_map_from_json(
+                check_type(val, dict, f"bundles[{key!r}]")
+            )
+            for key, val in check_type(required(obj, "bundles"), dict, "bundles").items()
         }
         return Tabular.from_table(len(names), table)
     raise StructuralError(f"unknown preference kind {kind!r}")
@@ -119,10 +132,10 @@ def economy_to_json(economy: Economy) -> dict[str, Any]:
 
 def economy_from_json(obj: Mapping[str, Any]) -> Economy:
     check_type(obj, dict, "economy")
-    names = tuple(check_type(obj["objects"], list, "economy.objects"))
+    names = tuple(check_type(required(obj, "objects", "economy"), list, "economy.objects"))
     for j, name in enumerate(names):
         check_type(name, str, f"economy.objects[{j}]")
-    prefs = check_type(obj["preferences"], list, "economy.preferences")
+    prefs = check_type(required(obj, "preferences", "economy"), list, "economy.preferences")
     return Economy(
         names,
         tuple(

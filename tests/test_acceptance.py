@@ -192,12 +192,20 @@ def test_criterion_8_winner_determination_oracle_equivalence():
         eco = random_economy(rng, n, m, "mixed")
         t = F(rng.choice((-1, 0, 1)))
         alloc, welfare = winner_determination(eco, t)
+        # wp() memoized per (agent, bundle): the same calls, each made once
+        memo = [{} for _ in eco.preferences]
+
+        def value(i, bundle):
+            if bundle not in memo[i]:
+                memo[i][bundle] = wp(eco.preferences[i], bundle, t)
+            return memo[i][bundle]
+
         oracle, first = None, None
         for candidate in enumerate_allocations(n, m):
-            total = sum(wp(p, bundle, t) for p, bundle in zip(eco.preferences, candidate))
+            total = sum(value(i, bundle) for i, bundle in enumerate(candidate))
             if oracle is None or total > oracle:
                 oracle, first = total, candidate
-        first = _minimal_equivalent_bundles(eco, t, first, frozenset())
+        first = _minimal_equivalent_bundles(eco, t, first)
         ok = ok and (alloc, welfare) == (first, oracle)
         if not ok:
             break

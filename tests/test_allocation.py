@@ -23,6 +23,7 @@ from gvcglab import (
     random_economy,
     random_pwl_map,
     run_gvcg,
+    unit_demand_pref,
     unit_demand_trio,
     validate_allocation,
     winner_determination,
@@ -178,19 +179,20 @@ def test_wd_minimality_releases_surplus_objects():
 
 
 def test_wd_minimality_on_tabular_shrinks_to_cheapest_equivalent():
-    eco = unit_demand_trio()
-    # force agent 1 to hold both objects by zeroing everyone else
-    alloc, welfare = winner_determination(eco, 0, zero_agents=frozenset((0, 2)))
+    # alone, a unit-demand agent is first assigned both objects
+    eco = Economy(("a", "b"), (unit_demand_pref(),))
+    alloc, welfare = winner_determination(eco, 0)
     assert welfare == 4
-    assert alloc == (0, B, 0)  # WP({b}) = WP({a,b}) = 4, so {b} suffices
+    assert alloc == (B,)  # WP({b}) = WP({a,b}) = 4, so {b} suffices
 
 
-def test_wd_zero_agents_keep_slots():
+def test_wd_leave_out_gives_the_pivot_welfare():
     eco = negative_income_trio()
-    _, without_0 = winner_determination(eco, 0, zero_agents=frozenset((0,)))
-    _, without_1 = winner_determination(eco, 0, zero_agents=frozenset((1,)))
-    assert without_0 == 4  # agents 1 and 2 still split the objects
-    assert without_1 == F(39, 10)  # big bidder takes both
+    assert winner_determination(eco, 0, leave_out=0) == (None, 4)  # 1 and 2 split
+    assert winner_determination(eco, 0, leave_out=1) == (None, F(39, 10))  # 0 takes both
+    for agent in (-1, 3):
+        with pytest.raises(ValueError):
+            winner_determination(eco, 0, leave_out=agent)
 
 
 def test_wd_deterministic():
@@ -206,7 +208,7 @@ def test_wd_drop_agent_never_beats_total():
         t = F(rng.randint(-2, 2))
         alloc, welfare = winner_determination(eco, t)
         for i, pref in enumerate(eco.preferences):
-            _, rivals_best = winner_determination(eco, t, zero_agents=frozenset((i,)))
+            _, rivals_best = winner_determination(eco, t, leave_out=i)
             assert rivals_best >= welfare - wp(pref, alloc[i], t)
 
 
@@ -228,7 +230,8 @@ def test_wd_matches_brute_force_oracle_small_random():
 
 def _oracle(economy, t, zero_agents=frozenset()):
     """Raw assignment and optimal total from the last record of the scan,
-    plus the tables and common denominator both solvers read."""
+    plus the tables and common denominator both solvers read.  Rows of
+    ``zero_agents`` are zero; their slots stay."""
     n, m = economy.num_agents, economy.num_objects
     zero = [F(0)] * (1 << m)
     rows = wp_tables(economy, [t] * n)
@@ -240,21 +243,18 @@ def _oracle(economy, t, zero_agents=frozenset()):
 
 
 def _check_against_oracle(economy, t, zero_agents=frozenset()):
+    """The kernel on the tables with ``zero_agents`` zeroed, then the
+    allocation and every Clarke-pivot solve of winner determination."""
     n, m = economy.num_agents, economy.num_objects
-    assignment, best, tables, denom = _oracle(economy, t, zero_agents)
+    assignment, best, tables, _ = _oracle(economy, t, zero_agents)
     assert _best_total(tables, [0] * n, (1 << m) - 1) == best
     assert _first_above(n, m, tables, best - 1) == (assignment, best)
-    bundles = _minimal_equivalent_bundles(
-        economy, t, assignment_bundles(n, assignment), zero_agents
-    )
-    assert winner_determination(economy, t, zero_agents=zero_agents) == (
-        bundles,
-        F(best, denom),
-    )
-    assert winner_determination(economy, t, zero_agents=zero_agents, welfare_only=True) == (
-        None,
-        F(best, denom),
-    )
+    assignment, best, _, denom = _oracle(economy, t)
+    bundles = _minimal_equivalent_bundles(economy, t, assignment_bundles(n, assignment))
+    assert winner_determination(economy, t) == (bundles, F(best, denom))
+    for i in range(n):
+        _, rivals, _, rivals_denom = _oracle(economy, t, frozenset((i,)))
+        assert winner_determination(economy, t, leave_out=i) == (None, F(rivals, rivals_denom))
 
 
 def _unit_demand_economy(rng, n, m):
@@ -312,9 +312,8 @@ def test_dp_matches_scan_when_every_agent_is_zeroed():
         eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
         everyone = frozenset(range(eco.num_agents))
         _check_against_oracle(eco, F(0), everyone)
-        bundles, welfare = winner_determination(eco, 0, zero_agents=everyone)
-        assert welfare == 0
-        assert bundles == (0,) * eco.num_agents
+        solo = Economy(eco.object_names, eco.preferences[:1])
+        assert winner_determination(solo, 0, leave_out=0) == (None, 0)
 
 
 def test_dp_matches_scan_with_one_agent_or_one_object():
@@ -352,7 +351,7 @@ def test_run_gvcg_payments_match_oracle_pivots():
         expected = []
         for i, pref in enumerate(eco.preferences):
             _, rivals, _, rivals_denom = _oracle(eco, t, frozenset((i,)))
-            pivot = winner_determination(eco, t, zero_agents=frozenset((i,)), welfare_only=True)
+            pivot = winner_determination(eco, t, leave_out=i)
             assert pivot == (None, F(rivals, rivals_denom))
             realized = welfare - wp(pref, result.allocation[i], t)
             expected.append(t + F(rivals, rivals_denom) - realized)

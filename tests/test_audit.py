@@ -6,6 +6,7 @@ from fractions import Fraction as F
 import pytest
 
 from gvcglab import (
+    Comparison,
     Dichotomous,
     DominanceWitness,
     Economy,
@@ -15,6 +16,7 @@ from gvcglab import (
     Tabular,
     audit_dsic,
     audit_ir_no_subsidy,
+    compare_outcomes,
     dominates,
     enumerate_allocations,
     find_pareto_improvement,
@@ -293,8 +295,9 @@ def test_ir_no_subsidy_on_mechanism_outcome():
     assert report.ok
     assert report.individually_rational == (True, True, True)
     assert report.no_subsidy == (True, True, True)
-    assert report.loser_payments_zero == (True, True, True)
-    assert report.payments_within_wp == (True, True, True)
+    result = run_gvcg(eco, 0)
+    for pref, bundle, payment in zip(eco.preferences, result.allocation, result.payments):
+        assert 0 <= payment <= wp(pref, bundle, 0)
 
 
 def test_charging_a_loser_fails_ir():
@@ -304,7 +307,8 @@ def test_charging_a_loser_fails_ir():
     report = audit_ir_no_subsidy(eco, bad)
     assert not report.ok
     assert report.individually_rational[0] is False
-    assert report.loser_payments_zero[0] is False
+    assert report.no_subsidy[0] is True
+    assert good.allocation[0] == 0 and bad.payments[0] > 0  # a loser charged
 
 
 def test_subsidy_is_flagged():
@@ -322,6 +326,33 @@ def test_overcharging_a_winner_fails_wp_bound():
         good.allocation, (good.payments[0], F(5, 2), good.payments[2]), good.welfare, good.t_l
     )
     report = audit_ir_no_subsidy(eco, bad)
-    assert report.payments_within_wp[1] is False
+    assert not report.ok
     assert report.individually_rational[1] is False
+    assert report.no_subsidy[1] is True
     assert wp(eco.preferences[1], good.allocation[1], 0) < F(5, 2)
+
+
+def test_ir_no_subsidy_ok_is_the_written_out_conditions():
+    # IR against (empty, 0) and payment >= 0, plus at t_L = 0 losers paying
+    # zero and payments within [0, WP(bundle, 0)]: the last two follow from
+    # the first two, so the report's ok is all four
+    rng = random.Random(73)
+    shifts = (F(-1), F(-1, 2), F(0), F(0), F(1, 3), F(1))
+    for _ in range(200):
+        eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
+        good = run_gvcg(eco, F(rng.choice((-1, 0, 0, 1))))
+        payments = []
+        for pref, bundle, payment in zip(eco.preferences, good.allocation, good.payments):
+            edge = rng.choice((None, F(0), wp(pref, bundle, 0)))
+            payments.append(payment + rng.choice(shifts) if edge is None else edge)
+        result = MechanismResult(good.allocation, tuple(payments), good.welfare, good.t_l)
+        expected = True
+        for pref, bundle, payment in zip(eco.preferences, result.allocation, payments):
+            value = wp(pref, bundle, 0)
+            ir = compare_outcomes(pref, (bundle, payment), (0, F(0))) is not Comparison.WORSE
+            assert ir == (payment <= value)
+            expected = expected and ir and payment >= 0
+            if result.t_l == 0:
+                expected = expected and (payment == 0 or value != 0)
+                expected = expected and 0 <= payment <= value
+        assert audit_ir_no_subsidy(eco, result).ok == expected

@@ -82,25 +82,29 @@ def test_payments_never_below_reference_level():
         assert all(p >= t for p in res.payments)
 
 
+def _assert_payments_within_reference_bounds(economy, result):
+    """Every payment lies in [t_L, t_L + WP(bundle, t_L)]."""
+    t = result.t_l
+    for pref, bundle, payment in zip(economy.preferences, result.allocation, result.payments):
+        assert t <= payment <= t + wp(pref, bundle, t)
+
+
 def test_audit_bounds_on_negative_income_trio():
-    res, report = run_gvcg_with_audit(negative_income_trio(), 0)
-    assert report.ok
-    entries = report.entries
-    assert entries[0].winner is False and entries[0].payment == 0
+    eco = negative_income_trio()
+    res = run_gvcg_with_audit(eco, 0)
+    assert res == run_gvcg(eco, 0)
+    assert res.allocation[0] == 0 and res.payments[0] == 0  # the loser pays t_L
     # winners pay within their WP at zero: 0 <= 19/10 <= 2
-    assert entries[1].bounds_ok and entries[2].bounds_ok
-    assert res.payments[1] <= wp(negative_income_trio().preferences[1], A, 0)
+    assert wp(eco.preferences[1], A, 0) == 2
+    _assert_payments_within_reference_bounds(eco, res)
 
 
 def test_audit_losers_pay_reference_at_negative_level():
-    res, report = run_gvcg_with_audit(inefficiency_trio(t_l=-1), -1)
-    assert report.ok
-    assert all(p >= -1 for p in res.payments)
-    assert res.payments[2] == -1  # loser pays exactly t_L
-    loser_entry = report.entries[2]
-    assert loser_entry.winner is False
-    assert loser_entry.loser_pays_reference_ok is True
-    assert loser_entry.bounds_ok is None  # bounds only apply at t_L = 0
+    eco = inefficiency_trio(t_l=-1)
+    res = run_gvcg_with_audit(eco, -1)
+    assert res.payments == (0, 0, -1)
+    assert res.allocation[2] == 0  # the loser pays exactly t_L
+    _assert_payments_within_reference_bounds(eco, res)
 
 
 def test_audit_holds_on_random_economies():
@@ -108,8 +112,7 @@ def test_audit_holds_on_random_economies():
     for _ in range(120):
         eco = random_economy(rng, rng.randint(1, 4), rng.randint(1, 3), "mixed")
         t = F(rng.randint(-2, 1))
-        _, report = run_gvcg_with_audit(eco, t)
-        assert report.ok
+        _assert_payments_within_reference_bounds(eco, run_gvcg_with_audit(eco, t))
 
 
 def test_tampered_result_would_fail_the_guarantee_check(monkeypatch):
@@ -124,3 +127,17 @@ def test_tampered_result_would_fail_the_guarantee_check(monkeypatch):
     monkeypatch.setattr(mech, "run_gvcg", lambda *a, **k: bad)
     with pytest.raises(InternalAuditError):
         mech.run_gvcg_with_audit(eco, 0)
+
+
+def test_winner_charged_below_reference_level_fails_the_guarantee_check(monkeypatch):
+    # IR alone cannot catch this: paying less only makes the winner better off
+    eco = inefficiency_trio(t_l=-1)
+    good = run_gvcg(eco, -1)
+    assert good.allocation[0] == A and good.payments[0] == 0
+    bad = MechanismResult(good.allocation, (F(-2), *good.payments[1:]), good.welfare, good.t_l)
+
+    import gvcglab.mechanism as mech
+
+    monkeypatch.setattr(mech, "run_gvcg", lambda *a, **k: bad)
+    with pytest.raises(InternalAuditError, match=r"agents \[0\]"):
+        mech.run_gvcg_with_audit(eco, -1)

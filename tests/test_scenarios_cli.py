@@ -12,14 +12,18 @@ from gvcglab import (
     BUILTIN_NAMES,
     MechanismResult,
     StructuralError,
-    builtin_scenario,
     enumerate_allocations,
+    expected_matches,
+    inefficiency_trio,
     load_scenario,
+    negative_income_trio,
+    positive_income_trio,
     random_economy,
     reproduce,
     run_scenario,
     scenario_from_json,
     scenario_to_json,
+    unit_demand_trio,
     wp,
 )
 from gvcglab import cli
@@ -30,13 +34,18 @@ from gvcglab.serialize import dumps, economy_to_json, result_to_json
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
 
+def shipped(name):
+    """The built-in scenario ``name``, from its file."""
+    return load_scenario(SCENARIO_DIR / f"{name}.json")
+
+
 # ---------------------------------------------------------------------------
 # round trips
 
 
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_builtin_scenarios_round_trip_exactly(name):
-    scenario = builtin_scenario(name)
+    scenario = shipped(name)
     recovered = scenario_from_json(scenario_to_json(scenario))
     assert recovered.economy == scenario.economy
     assert recovered.t_l == scenario.t_l
@@ -45,17 +54,26 @@ def test_builtin_scenarios_round_trip_exactly(name):
     assert recovered.expected == scenario.expected
 
 
+_CONSTRUCTORS = {
+    "ex1": (negative_income_trio, 0, ["0", "19/10", "19/10"]),
+    "ex2": (positive_income_trio, 0, ["0", "19/10", "19/10"]),
+    "ex3": (unit_demand_trio, 0, ["0", "1", "2"]),
+    "prop2-5": (lambda: inefficiency_trio(t_l=-1), -1, ["0", "0", "-1"]),
+}
+
+
 @pytest.mark.parametrize("name", BUILTIN_NAMES)
 def test_shipped_files_match_builtins(name):
-    scenario = load_scenario(SCENARIO_DIR / f"{name}.json")
-    builtin = builtin_scenario(name)
-    assert scenario.economy == builtin.economy
-    assert scenario.t_l == builtin.t_l
-    assert scenario.expected == builtin.expected
+    constructor, t_l, payments = _CONSTRUCTORS[name]
+    scenario = shipped(name)
+    assert scenario.economy == constructor()
+    assert scenario.t_l == t_l
+    assert scenario.expected["payments"] == payments
+    assert expected_matches(run_scenario(scenario), scenario.expected)
 
 
 def test_result_serialization_shape():
-    report = run_scenario(builtin_scenario("ex1"))
+    report = run_scenario(shipped("ex1"))
     assert report["result"]["payments"] == ["0", "19/10", "19/10"]
     assert report["result"]["allocation"] == [[], ["a"], ["b"]]
     assert report["result"]["welfare"] == "4"
@@ -63,8 +81,8 @@ def test_result_serialization_shape():
 
 
 def test_reports_are_byte_deterministic():
-    a = dumps(run_scenario(builtin_scenario("ex1")))
-    b = dumps(run_scenario(builtin_scenario("ex1")))
+    a = dumps(run_scenario(shipped("ex1")))
+    b = dumps(run_scenario(shipped("ex1")))
     assert a == b
     assert reproduce("thm2-sample", seed=3, samples=40) == reproduce(
         "thm2-sample", seed=3, samples=40
@@ -101,12 +119,12 @@ def test_decimal_rationals_accepted_in_scenario_files():
 
 def test_expected_blocks_match_for_all_builtins():
     for name in BUILTIN_NAMES:
-        report = run_scenario(builtin_scenario(name))
+        report = run_scenario(shipped(name))
         assert report["expected_match"] is True, name
 
 
 def test_ex1_report_has_dominance_details():
-    report = run_scenario(builtin_scenario("ex1"))
+    report = run_scenario(shipped("ex1"))
     dom = report["checks"]["dominance"]
     assert dom["dominated"] is True
     assert dom["payment_gain"] == "1/20"
@@ -118,7 +136,7 @@ def test_ex1_report_has_dominance_details():
 
 
 def test_ex3_report_has_manipulation_details():
-    report = run_scenario(builtin_scenario("ex3"))
+    report = run_scenario(shipped("ex3"))
     dsic = report["checks"]["dsic"]
     assert dsic["manipulable"] is True
     assert dsic["witness"]["agent"] == 1
@@ -168,7 +186,7 @@ def test_deviation_entry_given_as_an_object_is_an_input_error(tmp_path, capsys):
 
 
 def test_unknown_expectation_key_is_rejected():
-    scenario = builtin_scenario("ex1")
+    scenario = shipped("ex1")
     broken = scenario_from_json(
         {**scenario_to_json(scenario), "expected": {"not-a-key": 1}}
     )
@@ -340,7 +358,7 @@ def _scan_result(economy, t):
         total = sum(wp(p, b, t) for p, b in zip(prefs, alloc))
         if welfare is None or total > welfare:
             welfare, first = total, alloc
-    bundles = _minimal_equivalent_bundles(economy, t, first, frozenset())
+    bundles = _minimal_equivalent_bundles(economy, t, first)
     payments = []
     for i, pref in enumerate(prefs):
         rivals_best = max(
@@ -410,12 +428,17 @@ def test_cli_unexpected_exception_exits_four_without_traceback(monkeypatch, caps
 
 
 def test_nested_fields_of_wrong_type_are_named():
-    doc = scenario_to_json(builtin_scenario("ex3"))
+    doc = scenario_to_json(shipped("ex3"))
     cases = [
         (("economy", "preferences", 0, "minimal_bundles"), "ab", "minimal_bundles must be a list"),
         (("economy", "preferences", 0, "minimal_bundles", 0), "ab", "minimal_bundles[0] must be a list"),
         (("economy", "preferences", 1, "bundles"), [], "bundles must be an object"),
         (("economy", "objects", 1), 2, "economy.objects[1] must be a string"),
+        (("economy", "preferences", 0, "wp"), [1], "wp must be an object"),
+        (("economy", "preferences", 0, "wp", "breakpoints"), "5", "breakpoints must be a list"),
+        (("economy", "preferences", 0, "wp", "pieces"), "x", "pieces must be a list"),
+        (("economy", "preferences", 0, "wp", "pieces", 0), "x", "pieces[0] must be an object"),
+        (("economy", "preferences", 1, "bundles", "a,b"), "x", "bundles['a,b'] must be an object"),
         (("deviations", 1, 0), "x", "deviations[1][0] must be an object"),
         ((), [doc], "scenario must be an object"),
     ]
@@ -430,3 +453,33 @@ def test_nested_fields_of_wrong_type_are_named():
             broken = value
         with pytest.raises(StructuralError, match=message.replace("[", r"\[")):
             scenario_from_json(broken)
+
+
+@pytest.mark.parametrize(
+    "path, message",
+    [
+        (("economy",), "economy is missing"),
+        (("t_L",), "t_L is missing"),
+        (("economy", "objects"), "economy.objects is missing"),
+        (("economy", "preferences"), "economy.preferences is missing"),
+        (("economy", "preferences", 0, "minimal_bundles"), "minimal_bundles is missing"),
+        (("economy", "preferences", 0, "wp"), "wp is missing"),
+        (("economy", "preferences", 1, "bundles"), "bundles is missing"),
+        (("economy", "preferences", 0, "wp", "breakpoints"), "breakpoints is missing"),
+        (("economy", "preferences", 0, "wp", "pieces"), "pieces is missing"),
+        (("economy", "preferences", 0, "wp", "pieces", 0, "intercept"), "pieces[0].intercept is missing"),
+        (("economy", "preferences", 0, "wp", "pieces", 0, "slope"), "pieces[0].slope is missing"),
+    ],
+)
+def test_cli_missing_field_exits_two_naming_it(tmp_path, capsys, path, message):
+    doc = json.loads((SCENARIO_DIR / "ex3.json").read_text())
+    node = doc
+    for step in path[:-1]:
+        node = node[step]
+    del node[path[-1]]
+    target = tmp_path / "missing.json"
+    target.write_text(json.dumps(doc))
+    assert main(["solve", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""

@@ -89,19 +89,20 @@ def test_wd_on_mixed_economies_matches_brute_force():
                 oracle, first = total, cand
         assert welfare == oracle
         assert sum(wp(p, b, t) for p, b in zip(eco.preferences, alloc)) == welfare
-        assert alloc == _minimal_equivalent_bundles(eco, t, first, frozenset())
+        assert alloc == _minimal_equivalent_bundles(eco, t, first)
 
 
 def test_outcome_guarantees_hold_on_mixed_economies():
-    # the reference-outcome bound and loser-pays-t_L hold for any preference
-    # in the model, dichotomous or not
+    # every payment lies in [t_L, t_L + WP(bundle, t_L)], so losers pay
+    # exactly t_L, for any preference in the model, dichotomous or not
     rng = random.Random(2)
     for _ in range(120):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         eco = random_mixed_economy(rng, n, m)
         t = F(rng.randint(-2, 1))
-        _, report = run_gvcg_with_audit(eco, t)
-        assert report.ok
+        result = run_gvcg_with_audit(eco, t)
+        for pref, bundle, payment in zip(eco.preferences, result.allocation, result.payments):
+            assert t <= payment <= t + wp(pref, bundle, t)
 
 
 def test_dominance_scan_agrees_with_direct_checks_on_mixed_economies():
@@ -110,7 +111,7 @@ def test_dominance_scan_agrees_with_direct_checks_on_mixed_economies():
     for _ in range(150):
         n, m = rng.randint(1, 3), rng.randint(1, 3)
         eco = random_mixed_economy(rng, n, m)
-        result, _ = run_gvcg_with_audit(eco, 0)
+        result = run_gvcg_with_audit(eco, 0)
         base = OutcomeProfile.from_result(result)
         witness = find_pareto_improvement(eco, base)
         if witness is not None:
