@@ -10,9 +10,7 @@ suites.
 from types import ModuleType as _ModuleType
 
 from .prefs import (
-    ClassificationReport,
     Comparison,
-    DEFAULT_CLASSIFY_GRID,
     Dichotomous,
     Outcome,
     Preference,
@@ -20,7 +18,6 @@ from .prefs import (
     StructuralError,
     Tabular,
     ZERO_MAP,
-    classify,
     compare_outcomes,
     empty_equivalent_transfer,
     pwl_leq,

@@ -11,12 +11,14 @@ rebuilds the lexicographically first assignment whose total beats a floor,
 object by object, keeping the first owner from which the floor stays beaten.
 
 Winner determination passes ``floor = optimum - 1`` and so gets the first
-optimal assignment; a Clarke pivot is the DP alone with the pivot agent's row
-left out (``leave_out=i``): no rebuild and no shrink.  The dominance
-audit puts agent i's row at its own transfer level and passes its payment
-floor.  Sums run on integers over a common denominator, which keeps the hot
-loops fast without giving up exactness.  The exhaustive ``(n+1)**m`` scan
-lives in the tests, as the oracle both modes must match bit for bit.
+optimal assignment, then shrinks each winning bundle on the same integer rows
+to its smallest subset of equal entry; a Clarke pivot is the DP alone with
+the pivot agent's row left out (``leave_out=i``): no rebuild and no shrink.
+The dominance audit puts agent i's row at its own transfer level and passes
+its payment floor.  Sums run on integers over a common denominator, which
+keeps the hot loops fast without giving up exactness.  The exhaustive
+``(n+1)**m`` scan lives in the tests, as the oracle both modes must match bit
+for bit.
 """
 
 from __future__ import annotations
@@ -35,7 +37,6 @@ from .prefs import (
     StructuralError,
     Tabular,
     rat,
-    wp,
 )
 
 DEFAULT_GUARD_LIMIT = 10**8
@@ -254,46 +255,24 @@ def _first_above(
     return (tuple(assignment), total) if total > floor else None
 
 
-def _submasks_small_first(mask: int) -> list[int]:
-    subs = []
-    s = mask
-    while True:
-        subs.append(s)
-        if s == 0:
-            break
-        s = (s - 1) & mask
-    subs.sort(key=lambda x: (x.bit_count(), x))
-    return subs
-
-
 def _minimal_equivalent_bundles(
-    economy: Economy, t_l: Fraction, bundles: tuple[int, ...]
+    tables: list[list[int]], bundles: tuple[int, ...]
 ) -> tuple[int, ...]:
-    """Shrink each bundle to a minimal subset with equal WP at t_l.
+    """Shrink each bundle to its smallest subset (fewest objects, then lowest
+    mask) whose entry in the agent's row equals the bundle's own.
 
-    Surplus objects are released to unsold; welfare is unchanged.
+    Surplus objects are released to unsold; welfare is unchanged.  An
+    unacceptable bundle's entry is 0, as is the empty set's, so it shrinks
+    to nothing, and a dichotomous agent keeps one of its minimal bundles.
     """
     out = []
-    for pref, bundle in zip(economy.preferences, bundles):
-        if bundle == 0:
-            out.append(0)
-            continue
-        if isinstance(pref, Dichotomous):
-            if not pref.accepts(bundle):
-                out.append(0)
-                continue
-            out.append(
-                min(
-                    (mb for mb in pref.minimal_bundles if mb & bundle == mb),
-                    key=lambda x: (x.bit_count(), x),
-                )
-            )
-        else:
-            target = wp(pref, bundle, t_l)
-            for sub in _submasks_small_first(bundle):
-                if wp(pref, sub, t_l) == target:
-                    out.append(sub)
-                    break
+    for row, bundle in zip(tables, bundles):
+        best = sub = bundle
+        while sub:
+            sub = (sub - 1) & bundle
+            if row[sub] == row[bundle] and (sub.bit_count(), sub) < (best.bit_count(), best):
+                best = sub
+        out.append(best)
     return tuple(out)
 
 
@@ -330,6 +309,5 @@ def winner_determination(
     tables, denom = normalized_mask_tables(rows)
     best = _best_total(tables, [0] * n, full)
     assignment, _ = _first_above(n, m, tables, best - 1)
-    bundles = assignment_bundles(n, assignment)
-    bundles = _minimal_equivalent_bundles(economy, t, bundles)
+    bundles = _minimal_equivalent_bundles(tables, assignment_bundles(n, assignment))
     return bundles, Fraction(best, denom)

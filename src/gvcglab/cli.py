@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import sys
 
 from .allocation import SearchSpaceError
@@ -140,7 +139,7 @@ def main(argv: list[str] | None = None) -> int:
     except SearchSpaceError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_GUARD
-    except (StructuralError, json.JSONDecodeError, OSError, KeyError, TypeError) as exc:
+    except (StructuralError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except Exception as exc:

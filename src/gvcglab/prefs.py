@@ -17,6 +17,11 @@ and each outcome has a unique empty-equivalent transfer: the payment at which
 receiving nothing is exactly as good.  That transfer is the universal
 comparison currency used by :func:`compare_outcomes`.
 
+The paper's results hold on domains of these maps (dichotomous preferences,
+positive income effect: nonincreasing WP).  No function here decides which
+domain a preference is in; the surveys draw economies from each domain and
+the audits check the results there.
+
 All arithmetic uses :class:`fractions.Fraction`; no floating point enters any
 comparison.  All types are immutable after construction and every operation
 is pure, so values can be shared freely across threads.
@@ -28,7 +33,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Mapping, Union
 
 Rational = Union[Fraction, int, str]
 Outcome = tuple[int, Fraction]
@@ -145,9 +150,6 @@ class PwlMap:
     @property
     def slopes(self) -> tuple[Fraction, ...]:
         return tuple(slope for _, slope in self.pieces)
-
-    def is_constant(self) -> bool:
-        return len(self.pieces) == 1 and self.pieces[0][1] == 0
 
     def is_nonincreasing(self) -> bool:
         return all(slope <= 0 for slope in self.slopes)
@@ -333,9 +335,6 @@ class Tabular:
         except KeyError:
             raise StructuralError(f"bundle {bundle:b} missing from WP table") from None
 
-    def bundles(self) -> tuple[int, ...]:
-        return tuple(mask for mask, _ in self.wp_by_bundle)
-
 
 # A `|` union, not typing.Union: typing caches its aliases process-wide, which
 # would keep these classes (and this module) alive across fresh imports.
@@ -377,143 +376,3 @@ def compare_outcomes(pref: Preference, first: Outcome, second: Outcome) -> Compa
     if t1 > t2:
         return Comparison.WORSE
     return Comparison.INDIFFERENT
-
-
-DEFAULT_CLASSIFY_GRID: tuple[Fraction, ...] = tuple(Fraction(k, 2) for k in range(-4, 5))
-
-
-@dataclass(frozen=True)
-class ClassificationReport:
-    """Structural flags of a preference.
-
-    ``strict_positive_income_effect`` is certified only at the recorded
-    ``grid`` of transfer levels (caller-supplied points plus all WP-map
-    breakpoints inside their hull); the other flags are exact.
-    """
-
-    dichotomous: bool
-    single_minded: bool
-    quasilinear: bool
-    positive_income_effect: bool
-    strict_positive_income_effect: bool
-    heterogeneous_demand: bool
-    strict_decreasing_marginal_wp: bool
-    unit_demand: bool
-    grid: tuple[Fraction, ...]
-
-
-def _minimal_masks(masks: Iterable[int]) -> tuple[int, ...]:
-    masks = sorted(set(masks))
-    return tuple(
-        m for m in masks if not any(o != m and o & m == o for o in masks)
-    )
-
-
-def classify(
-    pref: Preference,
-    num_objects: int | None = None,
-    grid: Iterable[Rational] = DEFAULT_CLASSIFY_GRID,
-) -> ClassificationReport:
-    """Classify a preference; see :class:`ClassificationReport`.
-
-    For tabular preferences the table must cover every non-empty bundle of
-    the universe, otherwise the flags cannot be certified and a
-    :class:`StructuralError` is raised.
-    """
-    if num_objects is None:
-        if isinstance(pref, Tabular):
-            num_objects = pref.num_objects
-        else:
-            num_objects = max(pref.minimal_bundles).bit_length()
-    m = num_objects
-    full = (1 << m) - 1
-
-    if isinstance(pref, Dichotomous):
-        dichotomous = True
-        minimal = pref.minimal_bundles
-        all_maps: tuple[PwlMap, ...] = (pref.wp_map,)
-        unit_demand = all(mb.bit_count() == 1 for mb in minimal)
-    else:
-        table = {mask: pref.map_for(mask) for mask in range(1, full + 1)}
-        support = {mask for mask, mp in table.items() if mp != ZERO_MAP}
-        nonzero_maps = [table[mask] for mask in sorted(support)]
-        upward_closed = all(
-            sup in support
-            for mask in support
-            for x in range(m)
-            if (sup := mask | (1 << x)) != mask
-        )
-        dichotomous = (
-            bool(support)
-            and upward_closed
-            and all(mp == nonzero_maps[0] for mp in nonzero_maps)
-            and nonzero_maps[0].is_strictly_positive()
-        )
-        minimal = _minimal_masks(support) if support else ()
-        all_maps = tuple(table.values())
-        singles_by_object = [wp_map(pref, 1 << x) for x in range(m)]
-        unit_demand = True
-        for mask in range(1, full + 1):
-            if mask.bit_count() < 2:
-                continue
-            best = ZERO_MAP
-            for x in range(m):
-                if mask & (1 << x):
-                    best = pwl_pointwise_max(best, singles_by_object[x])
-            if table[mask] != best:
-                unit_demand = False
-                break
-
-    singles = [wp_map(pref, 1 << x) for x in range(m)]
-    at_zero = [sm.value(0) for sm in singles]
-
-    quasilinear = all(mp.is_constant() for mp in all_maps)
-    positive_income_effect = all(mp.is_nonincreasing() for mp in all_maps)
-    single_minded = dichotomous and len(minimal) == 1
-    heterogeneous_demand = len(set(at_zero)) > 1
-    strict_decreasing_marginal_wp = all(
-        at_zero[x] + at_zero[y] > wp(pref, (1 << x) | (1 << y), 0)
-        for x in range(m)
-        for y in range(x + 1, m)
-    )
-
-    user_points = sorted({rat(g) for g in grid})
-    if not user_points:
-        user_points = sorted(DEFAULT_CLASSIFY_GRID)
-    lo, hi = user_points[0], user_points[-1]
-    points = set(user_points)
-    for sm in singles:
-        points.update(b for b in sm.breakpoints if lo <= b <= hi)
-    grid_points = tuple(sorted(points))
-
-    strict_pie = True
-    for x in range(m):
-        for y in range(m):
-            if x == y:
-                continue
-            for j, t_hi in enumerate(grid_points):
-                hi_gap = singles[x].value(t_hi) - singles[y].value(t_hi)
-                if hi_gap <= 0:
-                    continue
-                for t_lo in grid_points[:j]:
-                    if singles[x].value(t_lo) - singles[y].value(t_lo) <= hi_gap:
-                        strict_pie = False
-                        break
-                if not strict_pie:
-                    break
-            if not strict_pie:
-                break
-        if not strict_pie:
-            break
-
-    return ClassificationReport(
-        dichotomous=dichotomous,
-        single_minded=single_minded,
-        quasilinear=quasilinear,
-        positive_income_effect=positive_income_effect,
-        strict_positive_income_effect=strict_pie,
-        heterogeneous_demand=heterogeneous_demand,
-        strict_decreasing_marginal_wp=strict_decreasing_marginal_wp,
-        unit_demand=unit_demand,
-        grid=grid_points,
-    )

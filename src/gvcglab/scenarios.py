@@ -187,9 +187,7 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
                 raise StructuralError(f"deviations[{i}] must be a list of preferences")
         deviations = tuple(
             tuple(
-                serialize.preference_from_json(
-                    serialize.check_type(p, dict, f"deviations[{i}][{j}]"), names
-                )
+                serialize.preference_at(p, names, f"deviations[{i}][{j}]")
                 for j, p in enumerate(agent_devs)
             )
             for i, agent_devs in enumerate(raw_devs)
@@ -198,7 +196,7 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
     if expected is not None:
         serialize.check_type(expected, dict, "expected")
     return Scenario(
-        name=str(obj.get("name", "")),
+        name=serialize.check_type(obj.get("name", ""), str, "name"),
         economy=economy,
         t_l=rat(serialize.required(obj, "t_L")),
         audits=audits,
@@ -209,7 +207,13 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
 
 def load_scenario(path: str | Path) -> Scenario:
     with open(path, "r", encoding="utf-8") as handle:
-        return scenario_from_json(json.load(handle))
+        try:
+            doc = json.load(handle)
+        except (ValueError, RecursionError) as exc:
+            # bad JSON, text that is not UTF-8, an integer past Python's
+            # digit limit, or nesting past the recursion limit
+            raise StructuralError(f"{path}: {exc}") from exc
+    return scenario_from_json(doc)
 
 
 # ---------------------------------------------------------------------------
@@ -290,12 +294,12 @@ _EXPECTED_PATHS = {
 
 def expected_matches(report: Mapping[str, Any], expected: Mapping[str, Any]) -> bool:
     """Compare an expectation block against a report, key by key."""
-    for key, want in expected.items():
-        path = _EXPECTED_PATHS.get(key)
-        if path is None:
+    for key in expected:
+        if key not in _EXPECTED_PATHS:
             raise StructuralError(f"unknown expectation key {key!r}")
+    for key, want in expected.items():
         node: Any = report
-        for step in path:
+        for step in _EXPECTED_PATHS[key]:
             if not isinstance(node, Mapping) or step not in node:
                 return False
             node = node[step]

@@ -57,6 +57,7 @@ def bundle_from_names(members: Sequence[str], names: Sequence[str]) -> int:
     index = {name: j for j, name in enumerate(names)}
     mask = 0
     for member in members:
+        check_type(member, str, "bundle member")
         if member not in index:
             raise StructuralError(f"unknown object name {member!r}")
         mask |= 1 << index[member]
@@ -121,6 +122,15 @@ def preference_from_json(obj: Mapping[str, Any], names: Sequence[str]) -> Prefer
     raise StructuralError(f"unknown preference kind {kind!r}")
 
 
+def preference_at(obj: Any, names: Sequence[str], path: str) -> Preference:
+    """The preference at JSON path ``path``; any error inside it names the path."""
+    check_type(obj, dict, path)
+    try:
+        return preference_from_json(obj, names)
+    except StructuralError as exc:
+        raise StructuralError(f"{path}: {exc}") from exc
+
+
 def economy_to_json(economy: Economy) -> dict[str, Any]:
     return {
         "objects": list(economy.object_names),
@@ -138,10 +148,7 @@ def economy_from_json(obj: Mapping[str, Any]) -> Economy:
     prefs = check_type(required(obj, "preferences", "economy"), list, "economy.preferences")
     return Economy(
         names,
-        tuple(
-            preference_from_json(check_type(p, dict, f"economy.preferences[{i}]"), names)
-            for i, p in enumerate(prefs)
-        ),
+        tuple(preference_at(p, names, f"economy.preferences[{i}]") for i, p in enumerate(prefs)),
     )
 
 

@@ -36,7 +36,7 @@ from gvcglab import (
     winner_determination,
     wp,
 )
-from gvcglab.allocation import _minimal_equivalent_bundles
+from oracle import minimal_equivalent_bundles
 
 A, B, AB = 0b01, 0b10, 0b11
 
@@ -205,7 +205,7 @@ def test_criterion_8_winner_determination_oracle_equivalence():
             total = sum(value(i, bundle) for i, bundle in enumerate(candidate))
             if oracle is None or total > oracle:
                 oracle, first = total, candidate
-        first = _minimal_equivalent_bundles(eco, t, first)
+        first = minimal_equivalent_bundles(eco, t, first)
         ok = ok and (alloc, welfare) == (first, oracle)
         if not ok:
             break

@@ -32,10 +32,10 @@ from gvcglab import (
 from gvcglab.allocation import (
     _best_total,
     _first_above,
-    _minimal_equivalent_bundles,
     normalized_mask_tables,
     wp_tables,
 )
+from oracle import minimal_equivalent_bundles
 
 A, B, AB = 0b01, 0b10, 0b11
 
@@ -186,6 +186,16 @@ def test_wd_minimality_on_tabular_shrinks_to_cheapest_equivalent():
     assert alloc == (B,)  # WP({b}) = WP({a,b}) = 4, so {b} suffices
 
 
+def test_wd_minimality_keeps_the_lowest_of_equal_subsets():
+    # alone, each agent is first assigned both objects; {a} and {b} are
+    # equally small and equally worth, and the lower mask is kept
+    either = Dichotomous((A, B), PwlMap.constant(2))
+    flat = Tabular.from_table(2, {mask: PwlMap.constant(3) for mask in (A, B, AB)})
+    for pref in (either, flat):
+        alloc, _ = winner_determination(Economy(("a", "b"), (pref,)), 0)
+        assert alloc == (A,)
+
+
 def test_wd_leave_out_gives_the_pivot_welfare():
     eco = negative_income_trio()
     assert winner_determination(eco, 0, leave_out=0) == (None, 4)  # 1 and 2 split
@@ -250,7 +260,7 @@ def _check_against_oracle(economy, t, zero_agents=frozenset()):
     assert _best_total(tables, [0] * n, (1 << m) - 1) == best
     assert _first_above(n, m, tables, best - 1) == (assignment, best)
     assignment, best, _, denom = _oracle(economy, t)
-    bundles = _minimal_equivalent_bundles(economy, t, assignment_bundles(n, assignment))
+    bundles = minimal_equivalent_bundles(economy, t, assignment_bundles(n, assignment))
     assert winner_determination(economy, t) == (bundles, F(best, denom))
     for i in range(n):
         _, rivals, _, rivals_denom = _oracle(economy, t, frozenset((i,)))

@@ -1,5 +1,4 @@
-"""Preference-model tests: WP queries, indifference solving, comparisons,
-and classification."""
+"""Preference-model tests: WP queries, indifference solving and comparisons."""
 
 import random
 import subprocess
@@ -18,10 +17,8 @@ from gvcglab import (
     StructuralError,
     Tabular,
     ZERO_MAP,
-    classify,
     compare_outcomes,
     empty_equivalent_transfer,
-    negative_income_trio,
     pwl_leq,
     pwl_pointwise_max,
     random_dichotomous,
@@ -296,85 +293,6 @@ def test_tabular_validation():
         Tabular.from_table(2, {A: PwlMap.constant(3), AB: PwlMap.constant(2)})
     ok = Tabular.from_table(2, {0: ZERO_MAP, A: PwlMap.constant(3), AB: PwlMap.constant(3)})
     assert ok.map_for(A) == PwlMap.constant(3)
-
-
-# ---------------------------------------------------------------------------
-# classification
-
-
-def test_classify_negative_income_effect_pref():
-    report = classify(either_bundle_pref(), num_objects=2)
-    assert report.dichotomous
-    assert not report.positive_income_effect  # slope 3 rises with t
-    assert not report.quasilinear
-    assert not report.single_minded
-    assert report.unit_demand  # minimal bundles are singletons
-    assert not report.heterogeneous_demand
-    assert report.strict_decreasing_marginal_wp  # 2 + 2 > 2
-
-
-def test_classify_quasilinear_dichotomous():
-    pref = Dichotomous((AB,), PwlMap.constant(F(39, 10)))
-    report = classify(pref, num_objects=2)
-    assert report.dichotomous and report.single_minded
-    assert report.quasilinear and report.positive_income_effect
-    assert not report.unit_demand
-    assert not report.strict_decreasing_marginal_wp  # 0 + 0 < 39/10 on the pair
-
-
-def test_classify_unit_demand_tabular():
-    grid = tuple(F(k) for k in range(-4, 6))  # inside the unclamped range
-    report = classify(unit_demand_pref(), num_objects=2, grid=grid)
-    assert not report.dichotomous
-    assert not report.quasilinear
-    assert report.positive_income_effect
-    assert report.heterogeneous_demand  # 3 != 4 at zero
-    assert report.strict_decreasing_marginal_wp  # 3 + 4 > 4
-    assert report.unit_demand  # pair map is the exact pointwise max
-    assert report.strict_positive_income_effect
-    assert set(grid) <= set(report.grid)
-
-
-def test_classify_strict_income_effect_fails_past_the_clamp():
-    wide = tuple(F(k) for k in range(0, 21, 2))  # reaches the flat tails
-    report = classify(unit_demand_pref(), num_objects=2, grid=wide)
-    assert not report.strict_positive_income_effect
-
-
-def test_classify_tabular_that_is_dichotomous():
-    w = PwlMap.constant(2)
-    pref = Tabular.from_table(2, {A: ZERO_MAP, B: w, AB: w})
-    report = classify(pref)
-    assert report.dichotomous and report.single_minded
-    assert report.heterogeneous_demand  # singleton WPs 0 vs 2 at zero
-    broken = Tabular.from_table(2, {A: ZERO_MAP, B: ZERO_MAP, AB: w})
-    assert not classify(broken).unit_demand  # pair beats both singletons
-
-
-def test_classify_records_breakpoints_within_grid_hull():
-    report = classify(either_bundle_pref(), num_objects=2, grid=(F(-1), F(1)))
-    assert F(-1, 2) in report.grid  # map kink inside the hull is certified too
-    assert report.grid[0] == F(-1) and report.grid[-1] == F(1)
-
-
-def test_classify_strict_income_effect_for_dichotomous_singletons():
-    falling = PwlMap((F(3),), ((F(2), F(-1, 2)), (F(1, 2), F(0))))
-    grid = tuple(F(k) for k in range(-2, 3))  # strictly falling region only
-    # acceptable {a} vs unacceptable {b}: gap is w(t) itself
-    one_sided = Dichotomous((A,), falling)
-    assert classify(one_sided, num_objects=2, grid=grid).strict_positive_income_effect
-    rising_one_sided = Dichotomous((A,), rising_map())
-    assert not classify(rising_one_sided, num_objects=2, grid=grid).strict_positive_income_effect
-    # both singletons acceptable: gaps vanish, the condition is vacuous
-    symmetric = Dichotomous((A, B), rising_map())
-    assert classify(symmetric, num_objects=2, grid=grid).strict_positive_income_effect
-
-
-def test_classify_matches_on_builtin_economy():
-    eco = negative_income_trio()
-    flags = [classify(p, num_objects=2) for p in eco.preferences]
-    assert [f.single_minded for f in flags] == [True, False, False]
-    assert [f.positive_income_effect for f in flags] == [True, False, False]
 
 
 def test_fresh_imports_release_the_previous_package():

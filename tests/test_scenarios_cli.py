@@ -7,6 +7,7 @@ from fractions import Fraction as F
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from gvcglab import (
     BUILTIN_NAMES,
@@ -27,9 +28,9 @@ from gvcglab import (
     wp,
 )
 from gvcglab import cli
-from gvcglab.allocation import _minimal_equivalent_bundles
 from gvcglab.cli import main
 from gvcglab.serialize import dumps, economy_to_json, result_to_json
+from oracle import minimal_equivalent_bundles
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -358,7 +359,7 @@ def _scan_result(economy, t):
         total = sum(wp(p, b, t) for p, b in zip(prefs, alloc))
         if welfare is None or total > welfare:
             welfare, first = total, alloc
-    bundles = _minimal_equivalent_bundles(economy, t, first)
+    bundles = minimal_equivalent_bundles(economy, t, first)
     payments = []
     for i, pref in enumerate(prefs):
         rivals_best = max(
@@ -455,6 +456,15 @@ def test_nested_fields_of_wrong_type_are_named():
             scenario_from_json(broken)
 
 
+def _preference_prefix(path):
+    """The path an error inside a preference is prefixed with."""
+    if path[:2] == ("economy", "preferences") and len(path) > 3:
+        return f"economy.preferences[{path[2]}]: "
+    if path[0] == "deviations":
+        return f"deviations[{path[1]}][{path[2]}]: "
+    return ""
+
+
 @pytest.mark.parametrize(
     "path, message",
     [
@@ -469,6 +479,7 @@ def test_nested_fields_of_wrong_type_are_named():
         (("economy", "preferences", 0, "wp", "pieces"), "pieces is missing"),
         (("economy", "preferences", 0, "wp", "pieces", 0, "intercept"), "pieces[0].intercept is missing"),
         (("economy", "preferences", 0, "wp", "pieces", 0, "slope"), "pieces[0].slope is missing"),
+        (("deviations", 1, 0, "wp"), "wp is missing"),
     ],
 )
 def test_cli_missing_field_exits_two_naming_it(tmp_path, capsys, path, message):
@@ -481,5 +492,108 @@ def test_cli_missing_field_exits_two_naming_it(tmp_path, capsys, path, message):
     target.write_text(json.dumps(doc))
     assert main(["solve", str(target)]) == 2
     captured = capsys.readouterr()
-    assert captured.err == f"error: {message}\n"
+    assert captured.err == f"error: {_preference_prefix(path)}{message}\n"
     assert captured.out == ""
+
+
+def _one_error_line(captured):
+    return (
+        captured.err.startswith("error: ")
+        and captured.err.count("\n") == 1
+        and "Traceback" not in captured.err
+        and captured.out == ""
+    )
+
+
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (b'{"name": "caf\xe9"}', "can't decode byte 0xe9"),
+        (b"[" * 100_000 + b"]" * 100_000, "recursion"),
+        (b"1" * 5000, "Exceeds the limit (4300 digits)"),
+    ],
+    ids=["not-utf-8", "nested-100000-deep", "5000-digit-integer"],
+)
+def test_cli_unreadable_json_exits_two_naming_the_file(tmp_path, capsys, content, message):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    assert main(["solve", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err.startswith(f"error: {path}: ") and message in captured.err
+
+
+def test_cli_bundle_member_of_wrong_type_exits_two(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    scenario["economy"]["preferences"][1]["minimal_bundles"] = [["a"], [{}]]
+    path = tmp_path / "member.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["solve", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: economy.preferences[1]: bundle member must be a string, not dict\n"
+    )
+
+
+def test_cli_unknown_expectation_key_exits_two_whatever_its_place(tmp_path, capsys):
+    # the known key mismatches, so comparing it first would exit 1
+    for expected in ({"payments": ["0"], "x": 1}, {"x": 1, "payments": ["0"]}):
+        code, err = _audit_exit_code(tmp_path, capsys, expected=expected)
+        assert code == 2
+        assert err == "error: unknown expectation key 'x'\n"
+
+
+def test_cli_name_of_wrong_type_exits_two(tmp_path, capsys):
+    code, err = _audit_exit_code(tmp_path, capsys, name={"x": [1]})
+    assert code == 2
+    assert err == "error: name must be a string, not dict\n"
+
+
+def _json_paths(node, path=()):
+    yield path
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        children = ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = (None, True, 0, -1, "x", "", [], ["a"], {}, {"x": 1})
+
+
+@settings(
+    max_examples=200,
+    derandomize=True,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+@given(data=st.data())
+def test_cli_mutated_scenarios_never_exit_four(tmp_path, capsys, data):
+    name = data.draw(st.sampled_from(BUILTIN_NAMES))
+    doc = json.loads((SCENARIO_DIR / f"{name}.json").read_text())
+    path = data.draw(st.sampled_from(list(_json_paths(doc))))
+    parent = None
+    node = doc
+    for step in path:
+        parent, node = node, node[step]
+    action = data.draw(st.sampled_from(("drop", "retype", "nest") if path else ("retype", "nest")))
+    if action == "drop":
+        del parent[path[-1]]
+    else:
+        if action == "retype":
+            new = data.draw(st.sampled_from([v for v in _JSON_VALUES if type(v) is not type(node)]))
+        else:
+            new = data.draw(st.sampled_from(([node], {"x": node})))
+        if path:
+            parent[path[-1]] = new
+        else:
+            doc = new
+    target = tmp_path / "mutated.json"
+    target.write_text(json.dumps(doc))
+    code = main(["audit", str(target)])
+    captured = capsys.readouterr()
+    assert code != 4, captured.err
+    if code == 2:
+        assert _one_error_line(captured), captured.err

@@ -9,15 +9,11 @@ JSON codecs, cross-checked against brute-force oracles.
 import random
 from fractions import Fraction as F
 
-import pytest
-
 from gvcglab import (
     Economy,
     OutcomeProfile,
-    StructuralError,
     Tabular,
     ZERO_MAP,
-    classify,
     dominates,
     enumerate_allocations,
     find_pareto_improvement,
@@ -30,8 +26,8 @@ from gvcglab import (
     winner_determination,
     wp,
 )
-from gvcglab.allocation import _minimal_equivalent_bundles
 from gvcglab.serialize import preference_from_json, preference_to_json
+from oracle import minimal_equivalent_bundles
 
 
 def random_unit_demand_table(rng, num_objects, mode="mixed"):
@@ -89,7 +85,7 @@ def test_wd_on_mixed_economies_matches_brute_force():
                 oracle, first = total, cand
         assert welfare == oracle
         assert sum(wp(p, b, t) for p, b in zip(eco.preferences, alloc)) == welfare
-        assert alloc == _minimal_equivalent_bundles(eco, t, first)
+        assert alloc == minimal_equivalent_bundles(eco, t, first)
 
 
 def test_outcome_guarantees_hold_on_mixed_economies():
@@ -132,25 +128,6 @@ def test_dominance_scan_agrees_with_direct_checks_on_mixed_economies():
             assert not dominates(eco, OutcomeProfile(outcomes), base)
     # negative income effects appear in the draw, so some witnesses should too
     assert witnesses > 0
-
-
-def test_classify_recognizes_random_unit_demand_tables():
-    rng = random.Random(5)
-    for _ in range(60):
-        m = rng.randint(1, 3)
-        pref = random_unit_demand_table(rng, m)
-        report = classify(pref)
-        assert report.unit_demand
-        all_nonincreasing = all(
-            mp.is_nonincreasing() for _, mp in pref.wp_by_bundle
-        )
-        assert report.positive_income_effect == all_nonincreasing
-
-
-def test_classify_requires_total_tables():
-    partial = Tabular.from_table(2, {0b01: random_pwl_map(random.Random(0), "pos")})
-    with pytest.raises(StructuralError):
-        classify(partial)
 
 
 def test_tabular_preferences_round_trip_through_json():
