@@ -169,21 +169,23 @@ def normalized_mask_tables(
     return int_tables, denom
 
 
-def wp_tables(economy: Economy, levels: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Agent i's WP for every bundle mask at ``levels[i]``."""
-    size = 1 << economy.num_objects
+def wp_row(pref: Preference, num_objects: int, level: Fraction) -> list[Fraction]:
+    """One agent's WP for every bundle mask at ``level``."""
+    size = 1 << num_objects
     zero = Fraction(0)
-    tables: list[list[Fraction]] = []
-    for pref, level in zip(economy.preferences, levels):
-        if isinstance(pref, Dichotomous):
-            w = pref.wp_map.value(level)
-            tables.append([w if pref.accepts(mask) else zero for mask in range(size)])
-        else:
-            row = [zero] * size
-            for mask in range(1, size):
-                row[mask] = pref.map_for(mask).value(level)
-            tables.append(row)
-    return tables
+    if isinstance(pref, Dichotomous):
+        w = pref.wp_map.value(level)
+        return [w if pref.accepts(mask) else zero for mask in range(size)]
+    row = [zero] * size
+    for mask in range(1, size):
+        row[mask] = pref.map_for(mask).value(level)
+    return row
+
+
+def wp_tables(economy: Economy, levels: Sequence[Fraction]) -> list[list[Fraction]]:
+    """Agent i's WP row (:func:`wp_row`) at ``levels[i]``."""
+    m = economy.num_objects
+    return [wp_row(pref, m, level) for pref, level in zip(economy.preferences, levels)]
 
 
 def _best_total(tables: list[list[int]], base: Sequence[int], free: int) -> int:

@@ -16,12 +16,18 @@ floor.
 
 The auditors take the mechanism under test as a callable, so hand-built
 alternatives can be screened with the same machinery as the built-in one.
+The DSIC audit calls that callable once per misreport, except for
+:func:`run_gvcg` itself (unwrapped through ``__wrapped__``): a deviator's
+Clarke pivot leaves her own row out, so it is read off the truthful run,
+and each misreport costs one winner determination on the truthful WP rows
+with the deviator's row swapped.
 The IR / no-subsidy audit is the mechanism's own outcome check
 (``mechanism._reference_checks``) at reference level 0 instead of ``t_L``.
 """
 
 from __future__ import annotations
 
+import inspect
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +42,7 @@ from .allocation import (
     validate_allocation,
     wp_tables,
 )
-from .mechanism import MechanismResult, _reference_checks
+from .mechanism import MechanismResult, _gvcg_deviator_outcome, _reference_checks, run_gvcg
 from .prefs import (
     Comparison,
     Outcome,
@@ -172,17 +178,34 @@ def audit_dsic(
     Returns the first (agent, misreport) whose outcome the agent strictly
     prefers under her true preference, scanning agents then misreports in
     order; None if no listed deviation is profitable.
+
+    The mechanism runs once on the truthful reports.  Each misreport then
+    runs it again on the deviated economy, unless ``mechanism`` is
+    :func:`run_gvcg` (possibly wrapped): then the deviator's outcome comes
+    from one winner determination, with her pivot taken from the truthful
+    run, and equals what the full run would give.
     """
     if len(deviation_sets) != economy.num_agents:
         raise ValueError("need one deviation list per agent (possibly empty)")
     t = rat(t_l)
     truth = mechanism(economy, t)
+    if inspect.unwrap(mechanism) is run_gvcg:
+        rows = wp_tables(economy, [t] * economy.num_agents)
+
+        def deviate(agent: int, misreport: Preference) -> Outcome:
+            return _gvcg_deviator_outcome(economy, truth, rows, agent, misreport)
+
+    else:
+
+        def deviate(agent: int, misreport: Preference) -> Outcome:
+            result = mechanism(economy.replace_preference(agent, misreport), t)
+            return result.allocation[agent], result.payments[agent]
+
     for agent, misreports in enumerate(deviation_sets):
         true_pref = economy.preferences[agent]
         truthful = (truth.allocation[agent], truth.payments[agent])
         for misreport in misreports:
-            deviated_result = mechanism(economy.replace_preference(agent, misreport), t)
-            deviated = (deviated_result.allocation[agent], deviated_result.payments[agent])
+            deviated = deviate(agent, misreport)
             if compare_outcomes(true_pref, deviated, truthful) is Comparison.BETTER:
                 return ManipulationWitness(agent, misreport, truthful, deviated)
     return None

@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocation import Economy, ensure_search_space, winner_determination, wp_tables
-from .prefs import Comparison, Rational, compare_outcomes, rat, wp
+from .allocation import Economy, ensure_search_space, winner_determination, wp_row, wp_tables
+from .prefs import Comparison, Outcome, Preference, Rational, compare_outcomes, rat, wp
 
 
 @dataclass(frozen=True)
@@ -52,6 +52,33 @@ def run_gvcg(economy: Economy, t_l: Rational) -> MechanismResult:
         rivals_realized = welfare - wp(pref, bundles[i], t)
         payments.append(t + rivals_best - rivals_realized)
     return MechanismResult(bundles, tuple(payments), welfare, t)
+
+
+def _gvcg_deviator_outcome(
+    economy: Economy,
+    truth: MechanismResult,
+    rows: list[list[Fraction]],
+    agent: int,
+    misreport: Preference,
+) -> Outcome:
+    """``agent``'s ``run_gvcg`` outcome when she reports ``misreport`` and
+    every other agent reports as in ``economy``.
+
+    ``truth`` must be ``run_gvcg(economy, t)`` and ``rows`` its WP rows,
+    ``wp_tables(economy, [t] * n)``.  The agent's Clarke pivot leaves her
+    row out, so it does not depend on her report and is read off the
+    truthful run; the rest is one winner determination on ``rows`` with
+    row ``agent`` swapped for the misreport's.
+    """
+    t = truth.t_l
+    deviated = economy.replace_preference(agent, misreport)
+    swapped = list(rows)
+    swapped[agent] = wp_row(misreport, economy.num_objects, t)
+    bundles, welfare = winner_determination(deviated, t, rows=swapped)
+    truthful = truth.allocation[agent]
+    rivals_best = truth.payments[agent] - t + truth.welfare - rows[agent][truthful]
+    bundle = bundles[agent]
+    return bundle, t + rivals_best - (welfare - swapped[agent][bundle])
 
 
 class InternalAuditError(RuntimeError):

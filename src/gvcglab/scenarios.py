@@ -168,7 +168,9 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
     serialize.check_type(obj, dict, "scenario")
     economy = serialize.economy_from_json(serialize.required(obj, "economy"))
     names = economy.object_names
-    raw_audits = obj.get("audits") or []
+    raw_audits = obj.get("audits")
+    if raw_audits is None:
+        raw_audits = []
     if not isinstance(raw_audits, list):
         raise StructuralError("audits must be a list of audit selectors")
     audits = tuple(raw_audits)
@@ -198,7 +200,7 @@ def scenario_from_json(obj: Mapping[str, Any]) -> Scenario:
     return Scenario(
         name=serialize.check_type(obj.get("name", ""), str, "name"),
         economy=economy,
-        t_l=rat(serialize.required(obj, "t_L")),
+        t_l=serialize.rat_at(serialize.required(obj, "t_L"), "t_L"),
         audits=audits,
         deviations=deviations,
         expected=expected,

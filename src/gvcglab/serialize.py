@@ -45,6 +45,14 @@ def required(obj: Mapping[str, Any], key: str, parent: str = "") -> Any:
     return obj[key]
 
 
+def rat_at(value: Any, field: str) -> Fraction:
+    """``rat(value)``; its StructuralError, if any, prefixed with ``field``."""
+    try:
+        return rat(value)
+    except StructuralError as exc:
+        raise StructuralError(f"{field}: {exc}") from exc
+
+
 def fraction_str(value: Fraction) -> str:
     return str(value)
 
@@ -53,13 +61,16 @@ def bundle_to_names(mask: int, names: Sequence[str]) -> list[str]:
     return [names[j] for j in range(len(names)) if mask & (1 << j)]
 
 
-def bundle_from_names(members: Sequence[str], names: Sequence[str]) -> int:
+def bundle_from_names(
+    members: Sequence[str], names: Sequence[str], field: str = "bundle"
+) -> int:
+    """The mask of ``members``; an error names the member as ``field[k]``."""
     index = {name: j for j, name in enumerate(names)}
     mask = 0
-    for member in members:
-        check_type(member, str, "bundle member")
+    for k, member in enumerate(members):
+        check_type(member, str, f"{field}[{k}]: bundle member")
         if member not in index:
-            raise StructuralError(f"unknown object name {member!r}")
+            raise StructuralError(f"{field}[{k}]: unknown object name {member!r}")
         mask |= 1 << index[member]
     return mask
 
@@ -79,9 +90,11 @@ def pwl_map_from_json(obj: Mapping[str, Any]) -> PwlMap:
     for k, piece in enumerate(check_type(required(obj, "pieces"), list, "pieces")):
         field = f"pieces[{k}]"
         check_type(piece, dict, field)
-        intercept = rat(required(piece, "intercept", field))
-        pieces.append((intercept, rat(required(piece, "slope", field))))
-    return PwlMap(tuple(rat(b) for b in breakpoints), tuple(pieces))
+        intercept = rat_at(required(piece, "intercept", field), f"{field}.intercept")
+        pieces.append((intercept, rat_at(required(piece, "slope", field), f"{field}.slope")))
+    return PwlMap(
+        tuple(rat_at(b, f"breakpoints[{k}]") for k, b in enumerate(breakpoints)), tuple(pieces)
+    )
 
 
 def preference_to_json(pref: Preference, names: Sequence[str]) -> dict[str, Any]:
@@ -106,15 +119,17 @@ def preference_from_json(obj: Mapping[str, Any], names: Sequence[str]) -> Prefer
         bundles = check_type(required(obj, "minimal_bundles"), list, "minimal_bundles")
         return Dichotomous(
             tuple(
-                bundle_from_names(check_type(mb, list, f"minimal_bundles[{k}]"), names)
+                bundle_from_names(
+                    check_type(mb, list, f"minimal_bundles[{k}]"), names, f"minimal_bundles[{k}]"
+                )
                 for k, mb in enumerate(bundles)
             ),
             pwl_map_from_json(check_type(required(obj, "wp"), dict, "wp")),
         )
     if kind == "tabular":
         table = {
-            bundle_from_names(key.split(",") if key else [], names): pwl_map_from_json(
-                check_type(val, dict, f"bundles[{key!r}]")
+            bundle_from_names(key.split(",") if key else [], names, f"bundles[{key!r}]"): (
+                pwl_map_from_json(check_type(val, dict, f"bundles[{key!r}]"))
             )
             for key, val in check_type(required(obj, "bundles"), dict, "bundles").items()
         }

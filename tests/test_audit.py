@@ -1,5 +1,6 @@
 """Auditor tests: retained payments, dominance search, DSIC and IR audits."""
 
+import functools
 import random
 from fractions import Fraction as F
 
@@ -26,6 +27,7 @@ from gvcglab import (
     positive_income_trio,
     pwl_pointwise_max,
     random_dichotomous,
+    random_deviation_grid,
     random_economy,
     random_pwl_map,
     run_gvcg,
@@ -33,6 +35,8 @@ from gvcglab import (
     unit_demand_trio,
     wp,
 )
+from gvcglab.allocation import wp_tables
+from gvcglab.mechanism import _gvcg_deviator_outcome
 
 A, B, AB = 0b01, 0b10, 0b11
 
@@ -175,18 +179,19 @@ def test_dominance_oracle_symmetry_on_random_samples():
             assert not dominates(eco, OutcomeProfile(tuple(outcomes)), base)
 
 
-def _random_tabular_economy(rng, n, m):
+def _unit_demand_table(rng, m):
     # unit demand: a bundle's WP map is the pointwise max of its objects' maps
-    prefs = []
-    for _ in range(n):
-        singles = [random_pwl_map(rng, "mixed") for _ in range(m)]
-        table = {}
-        for mask in range(1, 1 << m):
-            low = mask & -mask
-            own = singles[low.bit_length() - 1]
-            table[mask] = own if mask == low else pwl_pointwise_max(table[mask ^ low], own)
-        prefs.append(Tabular.from_table(m, table))
-    return Economy(tuple("abc"[:m]), tuple(prefs))
+    singles = [random_pwl_map(rng, "mixed") for _ in range(m)]
+    table = {}
+    for mask in range(1, 1 << m):
+        low = mask & -mask
+        own = singles[low.bit_length() - 1]
+        table[mask] = own if mask == low else pwl_pointwise_max(table[mask ^ low], own)
+    return Tabular.from_table(m, table)
+
+
+def _random_tabular_economy(rng, n, m):
+    return Economy(tuple("abc"[:m]), tuple(_unit_demand_table(rng, m) for _ in range(n)))
 
 
 @pytest.mark.parametrize("kind", ["mixed", "pos", "tabular"])
@@ -278,6 +283,90 @@ def test_quasilinear_economy_with_dichotomous_deviations_is_truthful():
     rng = random.Random(6)
     grid = tuple(random_dichotomous(rng, 2, "mixed") for _ in range(25))
     assert audit_dsic(run_gvcg, eco, (grid, grid, grid), 0) is None
+
+
+def _dsic_case(rng, kind):
+    """A random economy of ``kind`` and per-agent misreports, n <= 4, m <= 3."""
+    n, m = rng.randint(1, 4), rng.randint(1, 3)
+    if kind == "ties":
+        base = random_economy(rng, rng.randint(1, 2), m, "mixed")
+        prefs = list(base.preferences) * 2
+        rng.shuffle(prefs)
+        eco = Economy(base.object_names, tuple(prefs))
+    elif kind == "tabular":
+        prefs = [
+            _unit_demand_table(rng, m) if rng.random() < 0.5 else random_dichotomous(rng, m)
+            for _ in range(n)
+        ]
+        eco = Economy(tuple("abc"[:m]), tuple(prefs))
+    else:
+        eco = random_economy(rng, n, m, kind)
+    mode = "pos" if kind == "pos" else "mixed"
+    deviations = tuple(
+        random_deviation_grid(rng, m, 3, mode) + tuple(_unit_demand_table(rng, m) for _ in range(2))
+        for _ in range(eco.num_agents)
+    )
+    return eco, deviations, rng.choice((F(-1), F(0), F(1, 2), F(1)))
+
+
+DSIC_KINDS = ["mixed", "pos", "ties", "tabular"]
+
+
+@pytest.mark.parametrize("kind", DSIC_KINDS)
+def test_gvcg_deviator_outcome_matches_a_full_run(kind):
+    rng = random.Random(f"deviator-{kind}")
+    for _ in range(40):
+        eco, deviations, t = _dsic_case(rng, kind)
+        truth = run_gvcg(eco, t)
+        rows = wp_tables(eco, [t] * eco.num_agents)
+        for agent, misreports in enumerate(deviations):
+            for misreport in misreports:
+                full = run_gvcg(eco.replace_preference(agent, misreport), t)
+                assert _gvcg_deviator_outcome(eco, truth, rows, agent, misreport) == (
+                    full.allocation[agent],
+                    full.payments[agent],
+                )
+
+
+def test_audit_dsic_fast_path_matches_the_generic_path():
+    rng = random.Random("dsic-paths")
+    manipulable = 0
+    for kind in DSIC_KINDS * 30:
+        eco, deviations, t = _dsic_case(rng, kind)
+        fast = audit_dsic(run_gvcg, eco, deviations, t)
+        assert fast == audit_dsic(lambda e, level: run_gvcg(e, level), eco, deviations, t)
+        manipulable += fast is not None
+    assert manipulable >= 5
+
+
+def _counting(mechanism, calls):
+    @functools.wraps(mechanism)
+    def counted(economy, t_l):
+        calls.append(economy)
+        return mechanism(economy, t_l)
+
+    return counted
+
+
+def test_audit_dsic_runs_a_wrapped_gvcg_once_and_anything_else_per_misreport():
+    eco = negative_income_trio()
+    grid = tuple(Dichotomous((bundle,), PwlMap.constant(v)) for bundle in (A, B, AB) for v in (1, 3))
+    deviations = (grid, grid[:2], ())
+    wrapped, generic = [], []
+    assert audit_dsic(_counting(run_gvcg, wrapped), eco, deviations, 0) is None
+    assert len(wrapped) == 1
+    generic_gvcg = _counting(lambda e, t: run_gvcg(e, t), generic)
+    assert audit_dsic(generic_gvcg, eco, deviations, 0) is None
+    assert len(generic) == 1 + len(grid) + 2
+    # ex3: agent 1's second misreport is the first profitable one
+    eco, profitable = unit_demand_trio(), unit_demand_misreport()
+    deviations = ((), (grid[0], profitable, grid[1]), (profitable,))
+    wrapped.clear()
+    generic.clear()
+    fast = audit_dsic(_counting(run_gvcg, wrapped), eco, deviations, 0)
+    assert fast == audit_dsic(generic_gvcg, eco, deviations, 0)
+    assert (fast.agent, fast.misreport) == (1, profitable)
+    assert (len(wrapped), len(generic)) == (1, 3)
 
 
 def test_audit_dsic_requires_per_agent_lists():

@@ -295,6 +295,63 @@ def test_tabular_validation():
     assert ok.map_for(A) == PwlMap.constant(3)
 
 
+def _dip(low):
+    """3 left of 0, falling to ``low`` at 1, rising again to the right."""
+    fall = 3 - F(low)
+    return PwlMap((F(0), F(1)), ((F(3), F(0)), (F(3), -fall), (F(low) - fall, fall)))
+
+
+def test_total_table_with_one_bad_covering_pair_is_rejected():
+    table = {mask: PwlMap.constant(mask.bit_count()) for mask in range(1, 8)}
+    table[0b011] = PwlMap.constant(F(5, 2))
+    table[0b111] = _dip(F(5, 2))
+    Tabular.from_table(3, table)  # {a,b} touches {a,b,c} at t = 1
+    # now only the covering pair {a,b} < {a,b,c} fails, near t = 1
+    table[0b111] = _dip(F(9, 4))
+    with pytest.raises(StructuralError, match=r"WP\(11\) exceeds WP\(111\)"):
+        Tabular.from_table(3, table)
+
+
+def test_partial_table_rejects_a_violation_across_missing_bundles():
+    # {a} is worth more than {a,b,c}; {a,b} and {a,c}, between them, are absent
+    one, two = PwlMap.constant(1), PwlMap.constant(2)
+    table = {0b001: PwlMap.constant(3), 0b010: one, 0b100: one, 0b110: two, 0b111: two}
+    with pytest.raises(StructuralError, match=r"WP\(1\) exceeds WP\(111\)"):
+        Tabular.from_table(3, table)
+    table[0b001] = two
+    Tabular.from_table(3, table)
+
+
+def test_tabular_free_disposal_matches_the_all_pairs_definition():
+    rng = random.Random(17)
+    verdicts = {True: 0, False: 0}
+    for _ in range(400):
+        m = rng.randint(1, 3)
+        table = {}
+        for mask in range(1, 1 << m):
+            if rng.random() < 0.2:
+                continue
+            if rng.random() < 0.3:
+                table[mask] = _dip(rng.choice((F(9, 4), F(5, 2), F(11, 4))))
+            else:
+                table[mask] = PwlMap.constant(mask.bit_count() + rng.randint(0, 1))
+        expected = all(
+            pwl_leq(table[small], table[big])
+            for small in table
+            for big in table
+            if small != big and small & big == small
+        )
+        try:
+            Tabular.from_table(m, table)
+            accepted = True
+        except StructuralError as exc:
+            assert "free disposal" in str(exc)
+            accepted = False
+        assert accepted == expected
+        verdicts[accepted] += 1
+    assert min(verdicts.values()) >= 50
+
+
 def test_fresh_imports_release_the_previous_package():
     # Drop and re-import the package twice, as a harness that wants fresh
     # module state does, then check the first copy of a class is collectable.

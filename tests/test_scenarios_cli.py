@@ -171,6 +171,26 @@ def test_audits_given_as_a_string_is_an_input_error(tmp_path, capsys):
     assert "audits must be a list" in err
 
 
+@pytest.mark.parametrize("audits", [0, "", False, {}], ids=repr)
+def test_falsy_audits_that_are_not_a_list_are_an_input_error(tmp_path, capsys, audits):
+    # a falsy value must not pass for "no audits selected"
+    code, err = _audit_exit_code(tmp_path, capsys, audits=audits)
+    assert code == 2
+    assert err == "error: audits must be a list of audit selectors\n"
+
+
+def test_audits_missing_or_null_run_the_default_audits(tmp_path, capsys):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    scenario.pop("audits")
+    path = tmp_path / "no_audits.json"
+    path.write_text(json.dumps(scenario))
+    assert main(["audit", str(path)]) == 0
+    missing = json.loads(capsys.readouterr().out)
+    assert sorted(missing["checks"]) == ["dominance", "guarantees", "ir_no_subsidy"]
+    code, err = _audit_exit_code(tmp_path, capsys, audits=None)
+    assert (code, err) == (0, "")
+
+
 def test_deviations_given_as_an_object_is_an_input_error(tmp_path, capsys):
     code, err = _audit_exit_code(tmp_path, capsys, audits=["dsic"], deviations={"0": []})
     assert code == 2
@@ -530,8 +550,50 @@ def test_cli_bundle_member_of_wrong_type_exits_two(tmp_path, capsys):
     path.write_text(json.dumps(scenario))
     assert main(["solve", str(path)]) == 2
     assert capsys.readouterr().err == (
-        "error: economy.preferences[1]: bundle member must be a string, not dict\n"
+        "error: economy.preferences[1]: minimal_bundles[1][0]: "
+        "bundle member must be a string, not dict\n"
     )
+
+
+@pytest.mark.parametrize(
+    "path, value, message",
+    [
+        (("t_L",), "x", "t_L: cannot parse rational from 'x'"),
+        (("t_L",), 1.5, "t_L: not an exact rational: 1.5"),
+        (
+            ("economy", "preferences", 1, "wp", "breakpoints", 0),
+            "1/0",
+            "economy.preferences[1]: breakpoints[0]: cannot parse rational from '1/0'",
+        ),
+        (
+            ("economy", "preferences", 1, "wp", "pieces", 1, "intercept"),
+            "two",
+            "economy.preferences[1]: pieces[1].intercept: cannot parse rational from 'two'",
+        ),
+        (
+            ("economy", "preferences", 0, "wp", "pieces", 0, "slope"),
+            True,
+            "economy.preferences[0]: pieces[0].slope: not an exact rational: True",
+        ),
+        (
+            ("economy", "preferences", 2, "minimal_bundles", 1, 0),
+            "z",
+            "economy.preferences[2]: minimal_bundles[1][0]: unknown object name 'z'",
+        ),
+    ],
+)
+def test_cli_bad_value_exits_two_naming_its_field(tmp_path, capsys, path, value, message):
+    scenario = json.loads((SCENARIO_DIR / "ex1.json").read_text())
+    node = scenario
+    for step in path[:-1]:
+        node = node[step]
+    node[path[-1]] = value
+    target = tmp_path / "bad_value.json"
+    target.write_text(json.dumps(scenario))
+    assert main(["solve", str(target)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_cli_unknown_expectation_key_exits_two_whatever_its_place(tmp_path, capsys):
