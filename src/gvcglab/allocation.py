@@ -153,16 +153,12 @@ def enumerate_allocations(num_agents: int, num_objects: int) -> Iterator[tuple[i
     )
 
 
-def normalized_mask_tables(
-    values_by_agent: list[list[Fraction]], extra: Iterable[Fraction] = ()
-) -> tuple[list[list[int]], int]:
+def normalized_mask_tables(values_by_agent: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Rescale per-agent Fraction tables to integers over a common denominator."""
     denom = 1
     for table in values_by_agent:
         for v in table:
             denom = lcm(denom, v.denominator)
-    for v in extra:
-        denom = lcm(denom, v.denominator)
     int_tables = [
         [v.numerator * (denom // v.denominator) for v in table] for table in values_by_agent
     ]
@@ -227,10 +223,10 @@ def _best_total(tables: list[list[int]], base: Sequence[int], free: int) -> int:
 
 
 def _first_above(
-    num_agents: int, num_objects: int, tables: list[list[int]], floor: int
+    num_objects: int, tables: list[list[int]], floor: int
 ) -> tuple[tuple[int, ...], int] | None:
-    """The lexicographically first assignment whose total beats ``floor``,
-    and that total; None if no assignment does.
+    """The bundles of the lexicographically first assignment whose total
+    beats ``floor``, and that total; None if no assignment does.
 
     Object by object, owners 0..n-1 are tried in order and "unsold" last; an
     owner is kept as soon as the best completion over the later objects
@@ -240,21 +236,17 @@ def _first_above(
     :func:`_best_total` first.
     """
     full = (1 << num_objects) - 1
-    base = [0] * num_agents
-    assignment = []
+    base = [0] * len(tables)
     for obj in range(num_objects):
         bit = 1 << obj
         free = full & ~((bit << 1) - 1)
-        for owner in range(num_agents):
+        for owner in range(len(tables)):
             base[owner] |= bit
             if _best_total(tables, base, free) > floor:
                 break
             base[owner] ^= bit
-        else:
-            owner = num_agents
-        assignment.append(owner)
     total = sum(row[b] for row, b in zip(tables, base))
-    return (tuple(assignment), total) if total > floor else None
+    return (tuple(base), total) if total > floor else None
 
 
 def _minimal_equivalent_bundles(
@@ -310,6 +302,5 @@ def winner_determination(
         return None, Fraction(_best_total(tables, [0] * len(kept), full), denom)
     tables, denom = normalized_mask_tables(rows)
     best = _best_total(tables, [0] * n, full)
-    assignment, _ = _first_above(n, m, tables, best - 1)
-    bundles = _minimal_equivalent_bundles(tables, assignment_bundles(n, assignment))
-    return bundles, Fraction(best, denom)
+    bundles, _ = _first_above(m, tables, best - 1)
+    return _minimal_equivalent_bundles(tables, bundles), Fraction(best, denom)

@@ -36,7 +36,6 @@ from .allocation import (
     Economy,
     _best_total,
     _first_above,
-    assignment_bundles,
     ensure_search_space,
     normalized_mask_tables,
     validate_allocation,
@@ -141,15 +140,14 @@ def find_pareto_improvement(
     ]
     rows = wp_tables(economy, t_stars)
     floor = profile.payment_total() - sum(t_stars, Fraction(0))
-    tables, denom = normalized_mask_tables(rows, extra=(floor,))
-    floor_int = floor.numerator * (denom // floor.denominator)
+    tables, denom = normalized_mask_tables(rows)
+    # an integer total beats floor * denom exactly when it beats its floor
+    floor_int = floor.numerator * denom // floor.denominator
     if _best_total(tables, [0] * n, (1 << m) - 1) <= floor_int:
         return None
-    assignment, total = _first_above(n, m, tables, floor_int)
-    masks = assignment_bundles(n, assignment)
+    masks, total = _first_above(m, tables, floor_int)
     outcomes = tuple((masks[i], t_stars[i] + rows[i][masks[i]]) for i in range(n))
-    gain = Fraction(total - floor_int, denom)
-    return DominanceWitness(OutcomeProfile(outcomes), gain, ())
+    return DominanceWitness(OutcomeProfile(outcomes), Fraction(total, denom) - floor, ())
 
 
 def dominates(economy: Economy, candidate: OutcomeProfile, base: OutcomeProfile) -> bool:

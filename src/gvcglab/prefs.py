@@ -9,8 +9,8 @@ supported:
 * :class:`Dichotomous`: an antichain of minimal acceptable bundles plus a
   single WP map shared by every acceptable bundle.  Unacceptable bundles have
   WP zero at every transfer level.
-* :class:`Tabular`: an explicit WP map per bundle, monotone under inclusion
-  (free disposal).
+* :class:`Tabular`: an explicit WP map for every non-empty bundle, monotone
+  under inclusion (free disposal).
 
 Every slope of a WP map exceeds -1, so ``t + w(t)`` is strictly increasing
 and each outcome has a unique empty-equivalent transfer: the payment at which
@@ -285,40 +285,16 @@ class Dichotomous:
         return any(mb & bundle == mb for mb in self.minimal_bundles)
 
 
-def _free_disposal_violation(table: dict[int, PwlMap], full: int) -> tuple[int, int] | None:
-    """The first pair ``small < big`` of bundles in ``table`` (by ``small``,
-    then ``big``) whose maps break ``small <= big`` somewhere; None if none.
-
-    ``pwl_leq`` is a pointwise order, so on a total table (every non-empty
-    bundle present) the covering pairs ``S < S | {x}`` imply every other
-    pair, and checking them costs ``m * 2**(m-1)`` comparisons instead of
-    ``3**m``.  A partial table, whose chains may skip a missing bundle, and
-    a total table that fails a covering pair go through all pairs.
-    """
-    if all(mask in table for mask in range(1, full + 1)):
-        bits = [1 << x for x in range(full.bit_length())]
-        if all(
-            pwl_leq(small_map, table[small | bit])
-            for small, small_map in table.items()
-            for bit in bits
-            if not small & bit
-        ):
-            return None
-    for small, small_map in table.items():
-        for big, big_map in table.items():
-            if small != big and small & big == small and not pwl_leq(small_map, big_map):
-                return small, big
-    return None
-
-
 @dataclass(frozen=True)
 class Tabular:
     """Preference given by an explicit WP map per bundle.
 
-    Maps must be nonnegative everywhere and monotone under inclusion at every
-    transfer level.  The empty bundle is implicitly the zero map.  Bundles
-    absent from the table are outside the preference's domain; querying them
-    raises :class:`StructuralError` (no interpolation is ever attempted).
+    The table is total: every non-empty bundle of the universe has a map, and
+    the empty bundle is implicitly the zero map.  Maps must be nonnegative
+    everywhere and monotone under inclusion at every transfer level, which is
+    checked on the covering pairs ``S < S | {x}``; the first pair that fails,
+    by ``S`` then by ``x``, is named.  Querying a bundle outside the universe
+    raises :class:`StructuralError`.
     """
 
     num_objects: int
@@ -344,12 +320,18 @@ class Tabular:
             if not pwl.is_nonnegative():
                 raise StructuralError(f"WP map for bundle {mask:b} goes negative")
             seen[mask] = pwl
-        violation = _free_disposal_violation(seen, full)
-        if violation is not None:
-            small, big = violation
-            raise StructuralError(
-                f"free disposal violated: WP({small:b}) exceeds WP({big:b}) somewhere"
-            )
+        for mask in range(1, full + 1):
+            if mask not in seen:
+                raise StructuralError(f"bundle {mask:b} missing from WP table")
+        # pwl_leq is a pointwise order, so on a total table the covering pairs
+        # S < S | {x} imply every other pair: m * 2**(m-1) checks, not 3**m
+        bits = [1 << x for x in range(self.num_objects)]
+        for small in range(1, full):
+            for bit in bits:
+                if not small & bit and not pwl_leq(seen[small], seen[small | bit]):
+                    raise StructuralError(
+                        f"free disposal violated: WP({small:b}) exceeds WP({small | bit:b}) somewhere"
+                    )
         object.__setattr__(self, "wp_by_bundle", entries)
         object.__setattr__(self, "_index", seen)
 

@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from pathlib import Path
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping
 
 from .allocation import Economy
 from .audit import (
@@ -313,6 +313,15 @@ def expected_matches(report: Mapping[str, Any], expected: Mapping[str, Any]) -> 
 # ---------------------------------------------------------------------------
 # property surveys
 
+# Shapes the surveys draw: 1..SURVEY_MAX_AGENTS agents (two in the two-agent
+# survey) over 1..SURVEY_MAX_OBJECTS objects.
+SURVEY_MAX_AGENTS = 4
+SURVEY_MAX_OBJECTS = 3
+# Random misreports per agent in the axiom survey.
+MISREPORTS_PER_AGENT = 20
+# Reference levels at which the two-agent survey runs each economy.
+TWO_AGENT_T_LS = (-1, 0, 1)
+
 
 @dataclass(frozen=True)
 class DominanceSurvey:
@@ -326,8 +335,8 @@ def survey_dominance(
     mode: str,
     *,
     t_l: Rational = 0,
-    max_agents: int = 4,
-    max_objects: int = 3,
+    max_agents: int = SURVEY_MAX_AGENTS,
+    max_objects: int = SURVEY_MAX_OBJECTS,
 ) -> DominanceSurvey:
     """Random economies through the mechanism, counting dominated outcomes."""
     rng = random.Random(seed)
@@ -352,17 +361,8 @@ class AxiomSurvey:
     subsidy_violations: int
 
 
-def survey_axioms(
-    seed: int,
-    samples: int,
-    *,
-    t_l: Rational = 0,
-    misreports_per_agent: int = 20,
-    max_agents: int = 4,
-    max_objects: int = 3,
-    mode: str = "mixed",
-) -> AxiomSurvey:
-    """Random economies with random unilateral misreports.
+def survey_axioms(seed: int, samples: int, *, t_l: Rational = 0) -> AxiomSurvey:
+    """Random "mixed" economies with random unilateral misreports.
 
     Counts profitable deviations, individual-rationality failures (meaningful
     for t_l <= 0) and subsidies (meaningful for t_l = 0).
@@ -373,11 +373,11 @@ def survey_axioms(
     ir_violations = 0
     subsidy_violations = 0
     for _ in range(samples):
-        n = rng.randint(1, max_agents)
-        m = rng.randint(1, max_objects)
-        economy = random_economy(rng, n, m, mode)
+        n = rng.randint(1, SURVEY_MAX_AGENTS)
+        m = rng.randint(1, SURVEY_MAX_OBJECTS)
+        economy = random_economy(rng, n, m, "mixed")
         deviations = tuple(
-            random_deviation_grid(rng, m, misreports_per_agent, mode) for _ in range(n)
+            random_deviation_grid(rng, m, MISREPORTS_PER_AGENT, "mixed") for _ in range(n)
         )
         if audit_dsic(run_gvcg, economy, deviations, t) is not None:
             dsic_violations += 1
@@ -395,19 +395,13 @@ def survey_axioms(
     )
 
 
-def survey_two_agent_efficiency(
-    seed: int,
-    samples: int,
-    *,
-    t_ls: Sequence[Rational] = (-1, 0, 1),
-    max_objects: int = 3,
-) -> DominanceSurvey:
-    """Two-agent economies (mixed income effects) at several reference levels."""
+def survey_two_agent_efficiency(seed: int, samples: int) -> DominanceSurvey:
+    """Two-agent economies (mixed income effects) at each level of TWO_AGENT_T_LS."""
     rng = random.Random(seed)
-    levels = [rat(t) for t in t_ls]
+    levels = [rat(t) for t in TWO_AGENT_T_LS]
     dominated = 0
     for _ in range(samples):
-        m = rng.randint(1, max_objects)
+        m = rng.randint(1, SURVEY_MAX_OBJECTS)
         economy = random_economy(rng, 2, m, "mixed")
         for t in levels:
             result = run_gvcg(economy, t)
@@ -532,7 +526,7 @@ def reproduce(name: str, *, seed: int = 0, samples: int | None = None) -> list[t
         survey = survey_two_agent_efficiency(seed, count)
         return [
             (
-                f"zero dominated outcomes across {count} two-agent economies at t_L in (-1, 0, 1)",
+                f"zero dominated outcomes across {count} two-agent economies at t_L in {TWO_AGENT_T_LS}",
                 survey.dominated == 0,
             )
         ]

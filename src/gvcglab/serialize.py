@@ -4,8 +4,9 @@ Rationals travel as strings, either ``"p/q"`` or decimal (``"1.9"`` parses to
 19/10 exactly); emitted values always use the ``p/q`` / integer form.
 Bundles are lists of object names, resolved against the economy's object
 list.  Keys of tabular WP tables join member names with commas, so object
-names must not contain commas.  ``dumps`` sorts keys and fixes separators,
-making reports byte-deterministic.
+names must not contain commas; two keys that name the same bundle (``"a,b"``
+and ``"b,a"``, or ``"a"`` and ``"a,a"``) are an input error.  ``dumps``
+sorts keys and fixes separators, making reports byte-deterministic.
 """
 
 from __future__ import annotations
@@ -127,12 +128,15 @@ def preference_from_json(obj: Mapping[str, Any], names: Sequence[str]) -> Prefer
             pwl_map_from_json(check_type(required(obj, "wp"), dict, "wp")),
         )
     if kind == "tabular":
-        table = {
-            bundle_from_names(key.split(",") if key else [], names, f"bundles[{key!r}]"): (
-                pwl_map_from_json(check_type(val, dict, f"bundles[{key!r}]"))
-            )
-            for key, val in check_type(required(obj, "bundles"), dict, "bundles").items()
-        }
+        table: dict[int, PwlMap] = {}
+        keys: dict[int, str] = {}
+        for key, val in check_type(required(obj, "bundles"), dict, "bundles").items():
+            field = f"bundles[{key!r}]"
+            mask = bundle_from_names(key.split(",") if key else [], names, field)
+            if mask in keys:
+                raise StructuralError(f"{field} names the same bundle as bundles[{keys[mask]!r}]")
+            keys[mask] = key
+            table[mask] = pwl_map_from_json(check_type(val, dict, field))
         return Tabular.from_table(len(names), table)
     raise StructuralError(f"unknown preference kind {kind!r}")
 

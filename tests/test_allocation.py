@@ -41,8 +41,8 @@ A, B, AB = 0b01, 0b10, 0b11
 
 
 def scan(num_agents, num_objects, tables, floor):
-    """The exhaustive oracle: yield ``(assignment, total)`` each time the
-    total beats ``floor`` and every earlier total, over all ``(n+1)**m``
+    """The exhaustive oracle: yield ``(bundles, total)`` each time the total
+    beats ``floor`` and every earlier total, over all ``(n+1)**m``
     assignments in lexicographic order (unsold = n)."""
     for assignment in product(range(num_agents + 1), repeat=num_objects):
         masks = [0] * num_agents
@@ -54,7 +54,7 @@ def scan(num_agents, num_objects, tables, floor):
             total += tables[i][masks[i]]
         if total > floor:
             floor = total
-            yield assignment, total
+            yield tuple(masks), total
 
 
 def brute_force_welfare(economy, t_l):
@@ -239,7 +239,7 @@ def test_wd_matches_brute_force_oracle_small_random():
 
 
 def _oracle(economy, t, zero_agents=frozenset()):
-    """Raw assignment and optimal total from the last record of the scan,
+    """Raw bundles and optimal total from the last record of the scan,
     plus the tables and common denominator both solvers read.  Rows of
     ``zero_agents`` are zero; their slots stay."""
     n, m = economy.num_agents, economy.num_objects
@@ -248,19 +248,19 @@ def _oracle(economy, t, zero_agents=frozenset()):
     tables, denom = normalized_mask_tables(
         [zero if i in zero_agents else row for i, row in enumerate(rows)]
     )
-    assignment, best = deque(scan(n, m, tables, -1), maxlen=1).pop()
-    return assignment, best, tables, denom
+    bundles, best = deque(scan(n, m, tables, -1), maxlen=1).pop()
+    return bundles, best, tables, denom
 
 
 def _check_against_oracle(economy, t, zero_agents=frozenset()):
     """The kernel on the tables with ``zero_agents`` zeroed, then the
     allocation and every Clarke-pivot solve of winner determination."""
     n, m = economy.num_agents, economy.num_objects
-    assignment, best, tables, _ = _oracle(economy, t, zero_agents)
+    bundles, best, tables, _ = _oracle(economy, t, zero_agents)
     assert _best_total(tables, [0] * n, (1 << m) - 1) == best
-    assert _first_above(n, m, tables, best - 1) == (assignment, best)
-    assignment, best, _, denom = _oracle(economy, t)
-    bundles = minimal_equivalent_bundles(economy, t, assignment_bundles(n, assignment))
+    assert _first_above(m, tables, best - 1) == (bundles, best)
+    bundles, best, _, denom = _oracle(economy, t)
+    bundles = minimal_equivalent_bundles(economy, t, bundles)
     assert winner_determination(economy, t) == (bundles, F(best, denom))
     for i in range(n):
         _, rivals, _, rivals_denom = _oracle(economy, t, frozenset((i,)))
@@ -418,10 +418,10 @@ def _check_floors(rng, n, m, tables):
     if best > 0:
         floors += [0, best - 1] + [rng.randrange(best) for _ in range(3)]
     for floor in floors:
-        assert _first_above(n, m, tables, floor) == next(scan(n, m, tables, floor), None), floor
-    assert _first_above(n, m, tables, best) is None
+        assert _first_above(m, tables, floor) == next(scan(n, m, tables, floor), None), floor
+    assert _first_above(m, tables, best) is None
     all_to_zero = tables[0][(1 << m) - 1] + sum(row[0] for row in tables[1:])
-    assert _first_above(n, m, tables, -1) == ((0,) * m, all_to_zero)
+    assert _first_above(m, tables, -1) == (((1 << m) - 1,) + (0,) * (n - 1), all_to_zero)
 
 
 def test_first_above_matches_first_scan_record_on_random_tables():

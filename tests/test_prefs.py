@@ -148,9 +148,11 @@ def test_wp_tabular_lookup_and_missing_bundle():
     assert wp(pref, B, 0) == 4
     assert wp(pref, AB, 0) == 4
     assert wp(pref, 0, 0) == 0
-    partial = Tabular.from_table(2, {A: PwlMap.constant(1)})
-    with pytest.raises(StructuralError):
-        wp(partial, B, 0)
+    with pytest.raises(StructuralError, match="^bundle 100 missing from WP table$"):
+        wp(pref, 0b100, 0)  # outside the universe
+    # a table that misses a bundle fails where it is built, not where it is read
+    with pytest.raises(StructuralError, match="^bundle 10 missing from WP table$"):
+        Tabular.from_table(2, {A: PwlMap.constant(1)})
 
 
 @settings(deadline=None)
@@ -284,15 +286,20 @@ def test_dichotomous_validation():
 
 
 def test_tabular_validation():
-    with pytest.raises(StructuralError):
-        Tabular.from_table(2, {0: PwlMap.constant(1)})  # empty bundle must be zero
-    with pytest.raises(StructuralError):
-        Tabular.from_table(2, {A: PwlMap((), ((F(1), F(-1, 2)),))})  # negative somewhere
-    with pytest.raises(StructuralError):
+    one, three = PwlMap.constant(1), PwlMap.constant(3)
+    with pytest.raises(StructuralError, match="empty bundle must be identically zero"):
+        Tabular.from_table(2, {0: one, A: one, B: one, AB: one})
+    with pytest.raises(StructuralError, match="WP map for bundle 1 goes negative"):
+        Tabular.from_table(2, {A: PwlMap((), ((F(1), F(-1, 2)),)), B: one, AB: one})
+    with pytest.raises(StructuralError, match=r"WP\(1\) exceeds WP\(11\)"):
         # free disposal: the pair must be worth at least the singleton
-        Tabular.from_table(2, {A: PwlMap.constant(3), AB: PwlMap.constant(2)})
-    ok = Tabular.from_table(2, {0: ZERO_MAP, A: PwlMap.constant(3), AB: PwlMap.constant(3)})
-    assert ok.map_for(A) == PwlMap.constant(3)
+        Tabular.from_table(2, {A: three, B: one, AB: PwlMap.constant(2)})
+    with pytest.raises(StructuralError, match="bundle 1 missing from WP table"):
+        Tabular.from_table(2, {B: one, AB: three})
+    with pytest.raises(StructuralError, match="bundle 100 outside the 2-object universe"):
+        Tabular.from_table(2, {A: one, B: one, AB: one, 0b100: one})
+    ok = Tabular.from_table(2, {0: ZERO_MAP, A: three, B: one, AB: three})
+    assert ok.map_for(A) == three
 
 
 def _dip(low):
@@ -316,7 +323,11 @@ def test_partial_table_rejects_a_violation_across_missing_bundles():
     # {a} is worth more than {a,b,c}; {a,b} and {a,c}, between them, are absent
     one, two = PwlMap.constant(1), PwlMap.constant(2)
     table = {0b001: PwlMap.constant(3), 0b010: one, 0b100: one, 0b110: two, 0b111: two}
-    with pytest.raises(StructuralError, match=r"WP\(1\) exceeds WP\(111\)"):
+    with pytest.raises(StructuralError, match="^bundle 11 missing from WP table$"):
+        Tabular.from_table(3, table)
+    # filled in, the chain {a} < {a,b} < {a,b,c} fails at its first link
+    table[0b011] = table[0b101] = two
+    with pytest.raises(StructuralError, match=r"WP\(1\) exceeds WP\(11\)"):
         Tabular.from_table(3, table)
     table[0b001] = two
     Tabular.from_table(3, table)
@@ -329,25 +340,31 @@ def test_tabular_free_disposal_matches_the_all_pairs_definition():
         m = rng.randint(1, 3)
         table = {}
         for mask in range(1, 1 << m):
-            if rng.random() < 0.2:
-                continue
             if rng.random() < 0.3:
                 table[mask] = _dip(rng.choice((F(9, 4), F(5, 2), F(11, 4))))
             else:
                 table[mask] = PwlMap.constant(mask.bit_count() + rng.randint(0, 1))
-        expected = all(
-            pwl_leq(table[small], table[big])
+        failing = [
+            (small, big)
             for small in table
             for big in table
-            if small != big and small & big == small
-        )
+            if small != big and small & big == small and not pwl_leq(table[small], table[big])
+        ]
+        # the first covering pair S < S | {x} that fails, by S and then by x
+        covering = [
+            (small, small | 1 << x)
+            for small in sorted(table)
+            for x in range(m)
+            if (small, small | 1 << x) in failing
+        ]
         try:
             Tabular.from_table(m, table)
             accepted = True
         except StructuralError as exc:
-            assert "free disposal" in str(exc)
+            small, big = covering[0]
+            assert str(exc) == f"free disposal violated: WP({small:b}) exceeds WP({big:b}) somewhere"
             accepted = False
-        assert accepted == expected
+        assert accepted == (not failing)
         verdicts[accepted] += 1
     assert min(verdicts.values()) >= 50
 

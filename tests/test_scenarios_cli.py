@@ -1,5 +1,6 @@
 """Scenario serialization, audit reports, and CLI behaviour."""
 
+import copy
 import json
 import random
 import time
@@ -594,6 +595,51 @@ def test_cli_bad_value_exits_two_naming_its_field(tmp_path, capsys, path, value,
     captured = capsys.readouterr()
     assert captured.err == f"error: {message}\n"
     assert captured.out == ""
+
+
+def _ex3_with(tmp_path, edit):
+    """ex3's scenario file after ``edit(doc)``, written out; returns its path."""
+    doc = json.loads((SCENARIO_DIR / "ex3.json").read_text())
+    edit(doc)
+    target = tmp_path / "ex3_edited.json"
+    target.write_text(json.dumps(doc))
+    return str(target)
+
+
+@pytest.mark.parametrize(
+    "key, first",
+    [("b,a", "a,b"), ("a,a", "a")],
+    ids=["reordered-key", "repeated-name"],
+)
+def test_cli_two_keys_naming_one_bundle_exit_two(tmp_path, capsys, key, first):
+    def add_key(doc):
+        bundles = doc["economy"]["preferences"][1]["bundles"]
+        bundles[key] = {"breakpoints": [], "pieces": [{"intercept": "0", "slope": "0"}]}
+
+    assert main(["solve", _ex3_with(tmp_path, add_key)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err == (
+        f"error: economy.preferences[1]: bundles[{key!r}] "
+        f"names the same bundle as bundles[{first!r}]\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["solve", "audit"])
+@pytest.mark.parametrize("where", ["economy.preferences[1]", "deviations[1][0]"])
+def test_cli_table_missing_a_bundle_exits_two_naming_it(tmp_path, capsys, command, where):
+    def drop_b(doc):
+        partial = copy.deepcopy(doc["economy"]["preferences"][1])
+        del partial["bundles"]["b"]
+        if where == "deviations[1][0]":
+            doc["deviations"][1][0] = partial
+        else:
+            doc["economy"]["preferences"][1] = partial
+
+    assert main([command, _ex3_with(tmp_path, drop_b)]) == 2
+    captured = capsys.readouterr()
+    assert _one_error_line(captured)
+    assert captured.err == f"error: {where}: bundle 10 missing from WP table\n"
 
 
 def test_cli_unknown_expectation_key_exits_two_whatever_its_place(tmp_path, capsys):
