@@ -29,12 +29,6 @@ from .prefs import (
 from .allocation import (
     Economy,
     SearchSpaceError,
-    assignment_bundles,
-    enumerate_allocations,
-    enumerate_assignments,
-    ensure_search_space,
-    guard_limit,
-    search_space_size,
     validate_allocation,
     winner_determination,
 )

@@ -16,9 +16,11 @@ to its smallest subset of equal entry; a Clarke pivot is the DP alone with
 the pivot agent's row left out (``leave_out=i``): no rebuild and no shrink.
 The dominance audit puts agent i's row at its own transfer level and passes
 its payment floor.  Sums run on integers over a common denominator, which
-keeps the hot loops fast without giving up exactness.  The exhaustive
-``(n+1)**m`` scan lives in the tests, as the oracle both modes must match bit
-for bit.
+keeps the hot loops fast without giving up exactness.  The ``(n+1)**m``
+guard is checked once per table build, in :func:`wp_tables`, before any row
+is built.  The exhaustive ``(n+1)**m`` scan lives in the tests, as the oracle
+both modes must match bit for bit; :func:`enumerate_assignments`, which it
+runs on, checks the guard itself.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ class SearchSpaceError(RuntimeError):
     """The allocation search space exceeds the configured guard."""
 
 
-def guard_limit() -> int:
+def _guard_limit() -> int:
     """Current enumeration guard, overridable via the GVCGLAB_GUARD env var."""
     raw = os.environ.get(GUARD_ENV_VAR)
     if raw is None:
@@ -63,7 +65,7 @@ def search_space_size(num_agents: int, num_objects: int) -> int:
 
 
 def ensure_search_space(num_agents: int, num_objects: int) -> None:
-    bound = guard_limit()
+    bound = _guard_limit()
     size = search_space_size(num_agents, num_objects)
     if size > bound:
         raise SearchSpaceError(f"(n+1)^m = {size} allocations exceeds the guard {bound}")
@@ -145,14 +147,6 @@ def assignment_bundles(num_agents: int, assignment: tuple[int, ...]) -> tuple[in
     return tuple(masks)
 
 
-def enumerate_allocations(num_agents: int, num_objects: int) -> Iterator[tuple[int, ...]]:
-    """All allocations (tuples of disjoint bundles), one per assignment vector."""
-    return (
-        assignment_bundles(num_agents, assignment)
-        for assignment in enumerate_assignments(num_agents, num_objects)
-    )
-
-
 def normalized_mask_tables(values_by_agent: list[list[Fraction]]) -> tuple[list[list[int]], int]:
     """Rescale per-agent Fraction tables to integers over a common denominator."""
     denom = 1
@@ -167,20 +161,17 @@ def normalized_mask_tables(values_by_agent: list[list[Fraction]]) -> tuple[list[
 
 def wp_row(pref: Preference, num_objects: int, level: Fraction) -> list[Fraction]:
     """One agent's WP for every bundle mask at ``level``."""
-    size = 1 << num_objects
-    zero = Fraction(0)
     if isinstance(pref, Dichotomous):
-        w = pref.wp_map.value(level)
-        return [w if pref.accepts(mask) else zero for mask in range(size)]
-    row = [zero] * size
-    for mask in range(1, size):
-        row[mask] = pref.map_for(mask).value(level)
-    return row
+        w, zero = pref.wp_map.value(level), Fraction(0)
+        return [w if pref.accepts(mask) else zero for mask in range(1 << num_objects)]
+    return [pwl.value(level) for pwl in pref.maps]
 
 
 def wp_tables(economy: Economy, levels: Sequence[Fraction]) -> list[list[Fraction]]:
-    """Agent i's WP row (:func:`wp_row`) at ``levels[i]``."""
+    """Agent i's WP row (:func:`wp_row`) at ``levels[i]``; every solve starts
+    from these rows, so the guard is checked here, before any row is built."""
     m = economy.num_objects
+    ensure_search_space(economy.num_agents, m)
     return [wp_row(pref, m, level) for pref, level in zip(economy.preferences, levels)]
 
 
@@ -285,11 +276,11 @@ def winner_determination(
     ``leave_out=i`` is the solve behind agent i's Clarke pivot: the best
     total the other agents reach, with row i left out of the DP.  It returns
     ``None`` in place of the allocation and skips the rebuild and the
-    shrink.  ``rows``, if given, must be ``wp_tables(economy, [t_l] * n)``;
-    it lets several solves at one ``t_l`` share a single table build.
+    shrink.  ``rows``, if given, must be ``wp_tables(economy, [t_l] * n)``,
+    or those rows with one swapped for another agent's; it lets several
+    solves at one ``t_l`` share a single table build (and guard check).
     """
     n, m = economy.num_agents, economy.num_objects
-    ensure_search_space(n, m)
     t = rat(t_l)
     if rows is None:
         rows = wp_tables(economy, [t] * n)

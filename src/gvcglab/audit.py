@@ -36,7 +36,6 @@ from .allocation import (
     Economy,
     _best_total,
     _first_above,
-    ensure_search_space,
     normalized_mask_tables,
     validate_allocation,
     wp_tables,
@@ -132,8 +131,6 @@ def find_pareto_improvement(
     n, m = economy.num_agents, economy.num_objects
     if len(profile.outcomes) != n:
         raise ValueError(f"profile has {len(profile.outcomes)} outcomes for {n} agents")
-    ensure_search_space(n, m)
-
     t_stars = [
         empty_equivalent_transfer(pref, bundle, pay)
         for pref, (bundle, pay) in zip(economy.preferences, profile.outcomes)

@@ -96,6 +96,10 @@ def random_economy(
     rng: random.Random, num_agents: int, num_objects: int, mode: str = "mixed"
 ) -> Economy:
     """Draw an economy of dichotomous agents."""
+    if num_objects > len(OBJECT_NAMES):
+        raise ValueError(
+            f"random_economy names at most {len(OBJECT_NAMES)} objects, got {num_objects}"
+        )
     names = tuple(OBJECT_NAMES[:num_objects])
     prefs = tuple(random_dichotomous(rng, num_objects, mode) for _ in range(num_agents))
     return Economy(names, prefs)

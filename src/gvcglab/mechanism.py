@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocation import Economy, ensure_search_space, winner_determination, wp_row, wp_tables
+from .allocation import Economy, winner_determination, wp_row, wp_tables
 from .prefs import Comparison, Outcome, Preference, Rational, compare_outcomes, rat, wp
 
 
@@ -43,7 +43,6 @@ def run_gvcg(economy: Economy, t_l: Rational) -> MechanismResult:
     solve with agent i left out; all n+1 solves share one table build.
     """
     t = rat(t_l)
-    ensure_search_space(economy.num_agents, economy.num_objects)
     rows = wp_tables(economy, [t] * economy.num_agents)
     bundles, welfare = winner_determination(economy, t, rows=rows)
     payments = []

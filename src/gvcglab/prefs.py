@@ -9,8 +9,9 @@ supported:
 * :class:`Dichotomous`: an antichain of minimal acceptable bundles plus a
   single WP map shared by every acceptable bundle.  Unacceptable bundles have
   WP zero at every transfer level.
-* :class:`Tabular`: an explicit WP map for every non-empty bundle, monotone
-  under inclusion (free disposal).
+* :class:`Tabular`: a tuple of WP maps indexed by bundle mask, one for every
+  bundle (the empty bundle's is the zero map), monotone under inclusion
+  (free disposal).
 
 Every slope of a WP map exceeds -1, so ``t + w(t)`` is strictly increasing
 and each outcome has a unique empty-equivalent transfer: the payment at which
@@ -154,24 +155,19 @@ class PwlMap:
     def is_nonincreasing(self) -> bool:
         return all(slope <= 0 for slope in self.slopes)
 
-    def _bounded_below_by(self, bound: Fraction) -> bool:
+    def _minimum(self) -> Fraction | None:
+        """The least value, or None if a tail slopes downward (unbounded below)."""
+        if self.pieces[0][1] > 0 or self.pieces[-1][1] < 0:
+            return None
         if not self.breakpoints:
-            intercept, slope = self.pieces[0]
-            return slope == 0 and intercept >= bound
-        if any(self.value(b) < bound for b in self.breakpoints):
-            return False
-        return self.pieces[0][1] <= 0 and self.pieces[-1][1] >= 0
+            return self.pieces[0][0]
+        return min(self.value(b) for b in self.breakpoints)
 
     def is_strictly_positive(self) -> bool:
-        if not self.breakpoints:
-            intercept, slope = self.pieces[0]
-            return slope == 0 and intercept > 0
-        if any(self.value(b) <= 0 for b in self.breakpoints):
-            return False
-        return self.pieces[0][1] <= 0 and self.pieces[-1][1] >= 0
+        return (low := self._minimum()) is not None and low > 0
 
     def is_nonnegative(self) -> bool:
-        return self._bounded_below_by(Fraction(0))
+        return (low := self._minimum()) is not None and low >= 0
 
     def solve_transfer(self, total: Rational) -> Fraction:
         """Return the unique t with ``t + value(t) == total``.
@@ -289,59 +285,61 @@ class Dichotomous:
 class Tabular:
     """Preference given by an explicit WP map per bundle.
 
-    The table is total: every non-empty bundle of the universe has a map, and
-    the empty bundle is implicitly the zero map.  Maps must be nonnegative
-    everywhere and monotone under inclusion at every transfer level, which is
-    checked on the covering pairs ``S < S | {x}``; the first pair that fails,
-    by ``S`` then by ``x``, is named.  Querying a bundle outside the universe
-    raises :class:`StructuralError`.
+    ``maps[mask]`` is the WP map of bundle ``mask``: the table is total, with
+    ``2**m`` maps for ``m`` objects, and ``maps[0]``, the empty bundle's, is
+    the zero map.  Maps must be nonnegative everywhere and monotone under
+    inclusion at every transfer level, which is checked on the covering
+    pairs ``S < S | {x}``; the first pair that fails, by ``S`` then by ``x``,
+    is named.  Querying a bundle outside the universe raises
+    :class:`StructuralError`.
     """
 
-    num_objects: int
-    wp_by_bundle: tuple[tuple[int, PwlMap], ...]
+    maps: tuple[PwlMap, ...]
 
     @classmethod
     def from_table(cls, num_objects: int, table: Mapping[int, PwlMap]) -> "Tabular":
-        return cls(num_objects, tuple(sorted(table.items())))
+        """The preference with map ``table[mask]`` for every non-empty bundle;
+        the empty bundle's entry may be left out."""
+        if num_objects < 1:
+            raise StructuralError("tabular preference needs at least one object")
+        size = 1 << num_objects
+        for mask in table:
+            if not 0 <= mask < size:
+                raise StructuralError(f"bundle {mask:b} outside the {num_objects}-object universe")
+        for mask in range(1, size):
+            if mask not in table:
+                raise StructuralError(f"bundle {mask:b} missing from WP table")
+        return cls((table.get(0, ZERO_MAP), *(table[mask] for mask in range(1, size))))
 
     def __post_init__(self) -> None:
-        if self.num_objects < 1:
-            raise StructuralError("tabular preference needs at least one object")
-        entries = tuple(sorted((int(mask), pwl) for mask, pwl in self.wp_by_bundle))
-        full = (1 << self.num_objects) - 1
-        seen: dict[int, PwlMap] = {}
-        for mask, pwl in entries:
-            if mask < 0 or mask > full:
-                raise StructuralError(f"bundle {mask:b} outside the {self.num_objects}-object universe")
-            if mask in seen:
-                raise StructuralError(f"duplicate bundle {mask:b} in table")
-            if mask == 0 and pwl != ZERO_MAP:
-                raise StructuralError("WP of the empty bundle must be identically zero")
+        maps = tuple(self.maps)
+        size = len(maps)
+        if size < 2 or size & (size - 1):
+            raise StructuralError(f"a WP table has 2**m maps for some m >= 1, got {size}")
+        if maps[0] != ZERO_MAP:
+            raise StructuralError("WP of the empty bundle must be identically zero")
+        for mask, pwl in enumerate(maps):
             if not pwl.is_nonnegative():
                 raise StructuralError(f"WP map for bundle {mask:b} goes negative")
-            seen[mask] = pwl
-        for mask in range(1, full + 1):
-            if mask not in seen:
-                raise StructuralError(f"bundle {mask:b} missing from WP table")
         # pwl_leq is a pointwise order, so on a total table the covering pairs
         # S < S | {x} imply every other pair: m * 2**(m-1) checks, not 3**m
-        bits = [1 << x for x in range(self.num_objects)]
-        for small in range(1, full):
+        bits = [1 << x for x in range(size.bit_length() - 1)]
+        for small in range(1, size - 1):
             for bit in bits:
-                if not small & bit and not pwl_leq(seen[small], seen[small | bit]):
+                if not small & bit and not pwl_leq(maps[small], maps[small | bit]):
                     raise StructuralError(
                         f"free disposal violated: WP({small:b}) exceeds WP({small | bit:b}) somewhere"
                     )
-        object.__setattr__(self, "wp_by_bundle", entries)
-        object.__setattr__(self, "_index", seen)
+        object.__setattr__(self, "maps", maps)
+
+    @property
+    def num_objects(self) -> int:
+        return len(self.maps).bit_length() - 1
 
     def map_for(self, bundle: int) -> PwlMap:
-        if bundle == 0:
-            return ZERO_MAP
-        try:
-            return self._index[bundle]  # type: ignore[attr-defined]
-        except KeyError:
-            raise StructuralError(f"bundle {bundle:b} missing from WP table") from None
+        if 0 <= bundle < len(self.maps):
+            return self.maps[bundle]
+        raise StructuralError(f"bundle {bundle:b} missing from WP table")
 
 
 # A `|` union, not typing.Union: typing caches its aliases process-wide, which

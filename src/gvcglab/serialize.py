@@ -109,7 +109,8 @@ def preference_to_json(pref: Preference, names: Sequence[str]) -> dict[str, Any]
         "kind": "tabular",
         "bundles": {
             ",".join(bundle_to_names(mask, names)): pwl_map_to_json(pwl)
-            for mask, pwl in pref.wp_by_bundle
+            for mask, pwl in enumerate(pref.maps)
+            if mask
         },
     }
 

@@ -1,11 +1,22 @@
-"""Reference bundle shrink for the brute-force oracles in the tests.
+"""Shared pieces of the brute-force oracles in the tests.
 
-Written apart from the engine's shrink, which reads the integer rows winner
-determination solved on, so an oracle that calls this can catch a fault
-there.
+:func:`enumerate_allocations` lists every allocation of the ``(n+1)**m``
+scan.  The reference bundle shrink is written apart from the engine's, which
+reads the integer rows winner determination solved on, so an oracle that
+calls it can catch a fault there.
 """
 
 from gvcglab import wp
+from gvcglab.allocation import assignment_bundles, enumerate_assignments
+
+
+def enumerate_allocations(num_agents, num_objects):
+    """All allocations (tuples of disjoint bundles), one per assignment
+    vector, in lexicographic assignment order."""
+    return (
+        assignment_bundles(num_agents, assignment)
+        for assignment in enumerate_assignments(num_agents, num_objects)
+    )
 
 
 def minimal_equivalent_bundles(economy, t, bundles):

@@ -18,7 +18,6 @@ from gvcglab import (
     PwlMap,
     audit_dsic,
     compare_outcomes,
-    enumerate_allocations,
     find_pareto_improvement,
     inefficiency_trio,
     max_retained_payment,
@@ -37,7 +36,7 @@ from gvcglab import (
     wp,
 )
 from gvcglab.scenarios import MISREPORTS_PER_AGENT, TWO_AGENT_T_LS
-from oracle import minimal_equivalent_bundles
+from oracle import enumerate_allocations, minimal_equivalent_bundles
 
 A, B, AB = 0b01, 0b10, 0b11
 

@@ -14,9 +14,6 @@ from gvcglab import (
     SearchSpaceError,
     StructuralError,
     Tabular,
-    assignment_bundles,
-    enumerate_allocations,
-    enumerate_assignments,
     inefficiency_trio,
     negative_income_trio,
     pwl_pointwise_max,
@@ -32,10 +29,12 @@ from gvcglab import (
 from gvcglab.allocation import (
     _best_total,
     _first_above,
+    assignment_bundles,
+    enumerate_assignments,
     normalized_mask_tables,
     wp_tables,
 )
-from oracle import minimal_equivalent_bundles
+from oracle import enumerate_allocations, minimal_equivalent_bundles
 
 A, B, AB = 0b01, 0b10, 0b11
 
@@ -106,17 +105,26 @@ def test_guard_rejects_oversized_spaces(monkeypatch):
 
 
 def test_guard_propagates_through_consumers(monkeypatch):
-    from gvcglab import OutcomeProfile, find_pareto_improvement, run_gvcg
+    from gvcglab import OutcomeProfile, audit_dsic, find_pareto_improvement, run_gvcg
+    from gvcglab import allocation
 
     eco = negative_income_trio()
     profile = OutcomeProfile(((0, F(0)), (A, F(1)), (B, F(1))))
     monkeypatch.setenv("GVCGLAB_GUARD", "3")
+
+    def no_rows(*args):
+        raise AssertionError("a WP row was built before the guard check")
+
+    # the guard fires before any row is built
+    monkeypatch.setattr(allocation, "wp_row", no_rows)
     with pytest.raises(SearchSpaceError):
         winner_determination(eco, 0)
     with pytest.raises(SearchSpaceError):
         run_gvcg(eco, 0)
     with pytest.raises(SearchSpaceError):
         find_pareto_improvement(eco, profile)
+    with pytest.raises(SearchSpaceError):
+        audit_dsic(run_gvcg, eco, [[], [], []], 0)
 
 
 def test_economy_validation():
@@ -374,7 +382,7 @@ def _relabel_objects(pref, perm):
 
     if isinstance(pref, Dichotomous):
         return Dichotomous(tuple(move(b) for b in pref.minimal_bundles), pref.wp_map)
-    return Tabular.from_table(len(perm), {move(b): w for b, w in pref.wp_by_bundle})
+    return Tabular.from_table(len(perm), {move(b): w for b, w in enumerate(pref.maps)})
 
 
 def test_welfare_is_invariant_under_relabelling():

@@ -19,7 +19,6 @@ from gvcglab import (
     audit_ir_no_subsidy,
     compare_outcomes,
     dominates,
-    enumerate_allocations,
     find_pareto_improvement,
     inefficiency_trio,
     max_retained_payment,
@@ -37,6 +36,7 @@ from gvcglab import (
 )
 from gvcglab.allocation import wp_tables
 from gvcglab.mechanism import _gvcg_deviator_outcome
+from oracle import enumerate_allocations
 
 A, B, AB = 0b01, 0b10, 0b11
 

@@ -2,6 +2,8 @@
 
 import random
 
+import pytest
+
 from gvcglab import (
     random_deviation_grid,
     random_dichotomous,
@@ -56,3 +58,6 @@ def test_economy_dimensions():
     assert eco.num_agents == 4
     assert eco.num_objects == 3
     assert eco.object_names == ("a", "b", "c")
+    assert random_economy(rng, 1, 10).object_names == tuple("abcdefghij")
+    with pytest.raises(ValueError, match="^random_economy names at most 10 objects, got 11$"):
+        random_economy(rng, 1, 11)

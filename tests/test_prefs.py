@@ -94,6 +94,10 @@ def test_pwl_positivity_checks():
     assert not PwlMap((), ((F(1), F(1, 2)),)).is_strictly_positive()  # dives left
     falling_forever = PwlMap((), ((F(1), F(-1, 2)),))
     assert not falling_forever.is_nonnegative()  # dives right
+    touches_zero = PwlMap((F(1),), ((F(1, 2), F(-1, 2)), (F(-1), F(1))))
+    assert touches_zero.value(1) == 0  # its least value, at its breakpoint
+    assert touches_zero.is_nonnegative()
+    assert not touches_zero.is_strictly_positive()
 
 
 def test_pwl_pointwise_max_and_leq():
@@ -300,6 +304,13 @@ def test_tabular_validation():
         Tabular.from_table(2, {A: one, B: one, AB: one, 0b100: one})
     ok = Tabular.from_table(2, {0: ZERO_MAP, A: three, B: one, AB: three})
     assert ok.map_for(A) == three
+    assert ok == Tabular((ZERO_MAP, three, one, three))
+    assert ok.num_objects == 2
+    for size in (0, 1, 3, 6):
+        with pytest.raises(StructuralError, match=rf"^a WP table has 2\*\*m maps .* got {size}$"):
+            Tabular(((ZERO_MAP,) + (one,) * 5)[:size])
+    with pytest.raises(StructuralError, match="empty bundle must be identically zero"):
+        Tabular((one, one))
 
 
 def _dip(low):

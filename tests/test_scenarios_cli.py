@@ -14,7 +14,6 @@ from gvcglab import (
     BUILTIN_NAMES,
     MechanismResult,
     StructuralError,
-    enumerate_allocations,
     expected_matches,
     inefficiency_trio,
     load_scenario,
@@ -31,7 +30,7 @@ from gvcglab import (
 from gvcglab import cli
 from gvcglab.cli import main
 from gvcglab.serialize import dumps, economy_to_json, result_to_json
-from oracle import minimal_equivalent_bundles
+from oracle import enumerate_allocations, minimal_equivalent_bundles
 
 SCENARIO_DIR = Path(__file__).resolve().parent.parent / "scenarios"
 

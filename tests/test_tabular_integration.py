@@ -15,7 +15,6 @@ from gvcglab import (
     Tabular,
     ZERO_MAP,
     dominates,
-    enumerate_allocations,
     find_pareto_improvement,
     max_retained_payment,
     pwl_leq,
@@ -27,7 +26,7 @@ from gvcglab import (
     wp,
 )
 from gvcglab.serialize import preference_from_json, preference_to_json
-from oracle import minimal_equivalent_bundles
+from oracle import enumerate_allocations, minimal_equivalent_bundles
 
 
 def random_unit_demand_table(rng, num_objects, mode="mixed"):
