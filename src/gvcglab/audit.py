@@ -20,7 +20,12 @@ The DSIC audit calls that callable once per misreport, except for
 :func:`run_gvcg` itself (unwrapped through ``__wrapped__``): a deviator's
 Clarke pivot leaves her own row out, so it is read off the truthful run,
 and each misreport costs one winner determination on the truthful WP rows
-with the deviator's row swapped.
+with the deviator's row swapped.  Before that, each agent is screened by
+the taxation principle (Hammond 1979).  Whatever she reports, GVCG gives
+her some bundle S at the price ``t_L + W(M) - W(M minus S)``, where ``W`` is
+the others' best truthful total; her report picks S but moves no price.  So
+a report can help her only if an item of that menu beats her truthful
+outcome, and an agent whose menu holds no such item is skipped.
 The IR / no-subsidy audit is the mechanism's own outcome check
 (``mechanism._reference_checks``) at reference level 0 instead of ``t_L``.
 """
@@ -38,9 +43,16 @@ from .allocation import (
     _first_above,
     normalized_mask_tables,
     validate_allocation,
+    wp_row,
     wp_tables,
 )
-from .mechanism import MechanismResult, _gvcg_deviator_outcome, _reference_checks, run_gvcg
+from .mechanism import (
+    MechanismResult,
+    _gvcg_deviator_outcome,
+    _gvcg_menu,
+    _reference_checks,
+    run_gvcg,
+)
 from .prefs import (
     Comparison,
     Outcome,
@@ -162,6 +174,30 @@ def dominates(economy: Economy, candidate: OutcomeProfile, base: OutcomeProfile)
     return strict
 
 
+def _gvcg_menu_beats_truth(
+    economy: Economy,
+    truth: MechanismResult,
+    tables: list[list[int]],
+    denom: int,
+    agent: int,
+) -> bool:
+    """Does some report win ``agent`` an outcome under :func:`run_gvcg` that
+    she strictly prefers to her truthful one?
+
+    ``truth`` is ``run_gvcg(economy, t)`` and ``tables, denom`` its WP rows
+    rescaled by :func:`normalized_mask_tables`.  Whatever she reports, she
+    wins some bundle S at its price on her menu (:func:`_gvcg_menu`), which
+    her report does not move.  Every WP slope is above -1, so ``(S, p)``
+    beats her truthful outcome, whose empty-equivalent transfer is ``t*``,
+    exactly when ``p < t* + WP(S, t*)``.
+    """
+    pref = economy.preferences[agent]
+    t_star = empty_equivalent_transfer(pref, truth.allocation[agent], truth.payments[agent])
+    retained = wp_row(pref, economy.num_objects, t_star)
+    menu = _gvcg_menu(tables, denom, truth.t_l, agent, economy.num_objects)
+    return any(price < t_star + w for price, w in zip(menu, retained))
+
+
 def audit_dsic(
     mechanism: Mechanism,
     economy: Economy,
@@ -176,9 +212,12 @@ def audit_dsic(
 
     The mechanism runs once on the truthful reports.  Each misreport then
     runs it again on the deviated economy, unless ``mechanism`` is
-    :func:`run_gvcg` (possibly wrapped): then the deviator's outcome comes
-    from one winner determination, with her pivot taken from the truthful
-    run, and equals what the full run would give.
+    :func:`run_gvcg` (possibly wrapped).  Then an agent's misreports run
+    only if her GVCG menu holds an outcome she strictly prefers to her
+    truthful one (:func:`_gvcg_menu_beats_truth`).  An agent it passes over
+    has no profitable report at all, so the first witness is unchanged.
+    Each misreport that does run takes one winner determination, with her
+    pivot read off the truthful run, and gives what the full run would.
     """
     if len(deviation_sets) != economy.num_agents:
         raise ValueError("need one deviation list per agent (possibly empty)")
@@ -186,17 +225,26 @@ def audit_dsic(
     truth = mechanism(economy, t)
     if inspect.unwrap(mechanism) is run_gvcg:
         rows = wp_tables(economy, [t] * economy.num_agents)
+        tables, denom = normalized_mask_tables(rows)
+
+        def may_gain(agent: int) -> bool:
+            return _gvcg_menu_beats_truth(economy, truth, tables, denom, agent)
 
         def deviate(agent: int, misreport: Preference) -> Outcome:
             return _gvcg_deviator_outcome(economy, truth, rows, agent, misreport)
 
     else:
 
+        def may_gain(agent: int) -> bool:
+            return True
+
         def deviate(agent: int, misreport: Preference) -> Outcome:
             result = mechanism(economy.replace_preference(agent, misreport), t)
             return result.allocation[agent], result.payments[agent]
 
     for agent, misreports in enumerate(deviation_sets):
+        if not misreports or not may_gain(agent):
+            continue
         true_pref = economy.preferences[agent]
         truthful = (truth.allocation[agent], truth.payments[agent])
         for misreport in misreports:

@@ -20,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .allocation import Economy, winner_determination, wp_row, wp_tables
+from .allocation import Economy, _best_totals, winner_determination, wp_row, wp_tables
 from .prefs import Comparison, Outcome, Preference, Rational, compare_outcomes, rat, wp
 
 
@@ -78,6 +78,24 @@ def _gvcg_deviator_outcome(
     rivals_best = truth.payments[agent] - t + truth.welfare - rows[agent][truthful]
     bundle = bundles[agent]
     return bundle, t + rivals_best - (welfare - swapped[agent][bundle])
+
+
+def _gvcg_menu(
+    tables: list[list[int]], denom: int, t_l: Fraction, agent: int, num_objects: int
+) -> list[Fraction]:
+    """``agent``'s :func:`run_gvcg` price for every bundle mask S, whatever
+    she reports: ``t_l + W(M) - W(M minus S)``, where ``W(X)`` is the best
+    total of the other agents' rows on the objects ``X``.
+
+    ``tables, denom`` are the truthful WP rows at ``t_l`` rescaled by
+    ``normalized_mask_tables``.  Her pivot ``W(M)`` leaves her row out, and
+    when she wins S the others realize ``W(M minus S)``, which the
+    minimal-bundle shrink keeps; so :func:`_gvcg_deviator_outcome` is always
+    some ``(S, menu[S])`` (the taxation principle).
+    """
+    full = (1 << num_objects) - 1
+    rivals = _best_totals(tables[:agent] + tables[agent + 1 :], num_objects)
+    return [t_l + Fraction(rivals[full] - rivals[full ^ s], denom) for s in range(full + 1)]
 
 
 class InternalAuditError(RuntimeError):

@@ -31,11 +31,13 @@ from gvcglab import (
     random_pwl_map,
     run_gvcg,
     unit_demand_misreport,
+    unit_demand_pref,
     unit_demand_trio,
     wp,
 )
-from gvcglab.allocation import wp_tables
-from gvcglab.mechanism import _gvcg_deviator_outcome
+from gvcglab.allocation import _best_total, normalized_mask_tables, wp_tables
+from gvcglab.audit import _gvcg_menu_beats_truth
+from gvcglab.mechanism import _gvcg_deviator_outcome, _gvcg_menu
 from oracle import enumerate_allocations
 
 A, B, AB = 0b01, 0b10, 0b11
@@ -367,6 +369,88 @@ def test_audit_dsic_runs_a_wrapped_gvcg_once_and_anything_else_per_misreport():
     assert fast == audit_dsic(generic_gvcg, eco, deviations, 0)
     assert (fast.agent, fast.misreport) == (1, profitable)
     assert (len(wrapped), len(generic)) == (1, 3)
+
+
+def test_every_deviator_outcome_is_on_a_menu_her_report_does_not_move():
+    # the taxation principle behind the DSIC screen: a misreport only picks
+    # a bundle S off the menu (S, t + W(M) - W(M minus S)), so an agent whose
+    # menu beats nothing has no profitable misreport
+    rng = random.Random("screen")
+    screened = kept = profitable = 0
+    for kind in DSIC_KINDS * 20:
+        eco, deviations, t = _dsic_case(rng, kind)
+        n, full = eco.num_agents, (1 << eco.num_objects) - 1
+        truth = run_gvcg(eco, t)
+        rows = wp_tables(eco, [t] * n)
+        tables, denom = normalized_mask_tables(rows)
+        for agent, misreports in enumerate(deviations):
+            rivals = tables[:agent] + tables[agent + 1 :]
+            pivot = _best_total(rivals, [0] * (n - 1), full)
+            menu = [
+                t + F(pivot - _best_total(rivals, [0] * (n - 1), full ^ s), denom)
+                for s in range(full + 1)
+            ]
+            assert _gvcg_menu(tables, denom, t, agent, eco.num_objects) == menu
+            pref = eco.preferences[agent]
+            truthful = (truth.allocation[agent], truth.payments[agent])
+            assert menu[truthful[0]] == truthful[1]
+            beats = any(
+                compare_outcomes(pref, (s, price), truthful) is Comparison.BETTER
+                for s, price in enumerate(menu)
+            )
+            assert _gvcg_menu_beats_truth(eco, truth, tables, denom, agent) == beats
+            screened += not beats
+            kept += beats
+            for misreport in misreports:
+                bundle, pay = _gvcg_deviator_outcome(eco, truth, rows, agent, misreport)
+                assert pay == menu[bundle]
+                if compare_outcomes(pref, (bundle, pay), truthful) is Comparison.BETTER:
+                    assert beats
+                    profitable += 1
+    assert screened >= 100 and kept >= 3 and profitable >= 3
+
+
+def _unit_demand_against_single_minded(b_value):
+    # ex3's unit-demand agent wins {a} at 1 against single-minded rivals on
+    # {a} at 1 and {b} at b_value; her menu offers {b} at b_value, and at her
+    # truthful t* = -16/7 she would pay up to t* + WP({b}, t*) = 16/7 for it
+    return Economy(
+        ("a", "b"),
+        (
+            unit_demand_pref(),
+            Dichotomous((A,), PwlMap.constant(1)),
+            Dichotomous((B,), PwlMap.constant(b_value)),
+        ),
+    )
+
+
+@pytest.mark.parametrize("b_value, kept", [(F(16, 7), False), (F(15, 7), True)])
+def test_dsic_screen_drops_an_exact_tie_and_keeps_a_one_unit_gain(b_value, kept):
+    # the rows' common denominator is 7, so 15/7 undercuts the tie by one unit
+    eco = _unit_demand_against_single_minded(b_value)
+    truth = run_gvcg(eco, 0)
+    assert (truth.allocation[0], truth.payments[0]) == (A, 1)
+    tables, denom = normalized_mask_tables(wp_tables(eco, [F(0)] * 3))
+    assert denom == 7
+    assert _gvcg_menu(tables, denom, F(0), 0, 2)[B] == b_value
+    screen = [_gvcg_menu_beats_truth(eco, truth, tables, denom, i) for i in range(3)]
+    assert screen == [kept, False, False]
+    ranking = compare_outcomes(eco.preferences[0], (B, b_value), (A, 1))
+    assert ranking is (Comparison.BETTER if kept else Comparison.INDIFFERENT)
+    witness = audit_dsic(run_gvcg, eco, ((unit_demand_misreport(),), (), ()), 0)
+    if kept:
+        assert (witness.agent, witness.deviated) == (0, (B, b_value))
+    else:
+        assert witness is None
+
+
+def test_dsic_screen_keeps_ex3_agent_1_for_b_at_price_2():
+    eco = unit_demand_trio()
+    truth = run_gvcg(eco, 0)
+    tables, denom = normalized_mask_tables(wp_tables(eco, [F(0)] * 3))
+    assert _gvcg_menu(tables, denom, F(0), 1, 2)[B] == 2
+    screen = [_gvcg_menu_beats_truth(eco, truth, tables, denom, i) for i in range(3)]
+    assert screen == [False, True, False]
 
 
 def test_audit_dsic_requires_per_agent_lists():
